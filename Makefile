@@ -40,12 +40,13 @@ test:
 # race runs the PSP pipeline tests (client retries, fault injection,
 # concurrent clients, pspd graceful shutdown), the durable-store crash
 # matrix, the cluster gateway (ring, breakers, quorum replication, fault
-# matrix) with its daemon, the parallel-pipeline determinism suite, the
+# matrix) with its daemon, the serving spine both daemons share (admission
+# wrapper, batch reader), the parallel-pipeline determinism suite, the
 # reduced-IDCT kernels and transform planner (parallel scaled decode +
 # worker-count determinism), and the restart-segment and scaled-decode
 # parallel plane fills under -race.
 race:
-	$(GO) test -race -count=1 ./internal/psp/... ./internal/servecache/... ./internal/faults/... ./internal/blobstore/... ./internal/cluster/... ./internal/admission/... ./internal/stats/... ./internal/loadgen/... ./internal/searchidx/... ./internal/dct/... ./internal/transform/... ./cmd/pspd/... ./cmd/pspgw/...
+	$(GO) test -race -count=1 ./internal/psp/... ./internal/servecache/... ./internal/faults/... ./internal/blobstore/... ./internal/cluster/... ./internal/admission/... ./internal/spine/... ./internal/stats/... ./internal/loadgen/... ./internal/searchidx/... ./internal/dct/... ./internal/transform/... ./cmd/pspd/... ./cmd/pspgw/...
 	$(GO) test -race -count=1 -run 'TestParallelDeterminism' .
 	$(GO) test -race -count=1 -run 'TestRestart|TestToPlanarScaled' ./internal/jpegc
 
@@ -180,10 +181,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# check also runs the perfbench module's tests: the benchmark is its own
+# module, so `go test ./...` never compiles it against the psp/cluster API.
 check: fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) test -count=1 .
 	$(MAKE) race
 	$(MAKE) cluster-e2e
 	$(MAKE) load-gate

@@ -49,12 +49,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -66,6 +64,7 @@ import (
 	"puppies/internal/faults"
 	"puppies/internal/psp"
 	"puppies/internal/searchidx"
+	"puppies/internal/spine"
 )
 
 func cacheBudgetString(v int64) string {
@@ -88,20 +87,15 @@ func main() {
 // is non-nil it receives the bound listen address once the socket is open.
 func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- string) error {
 	fs := flag.NewFlagSet("pspd", flag.ContinueOnError)
-	addr := fs.String("addr", ":8754", "listen address")
+	d := spine.Daemon{Name: "pspd"}
+	d.Flags(fs, ":8754", psp.DefaultInflightPerProc)
 	dataDir := fs.String("data-dir", "", "durable storage directory; empty keeps images in memory only")
 	searchDir := fs.String("search-dir", "", "persistent search-index directory (default <data-dir>/searchidx when -data-dir is set; empty with no -data-dir keeps the index in memory)")
 	idemCap := fs.Int("idempotency-cap", psp.DefaultMaxKeys, "max idempotency keys remembered (LRU eviction beyond)")
 	idemTTL := fs.Duration("idempotency-ttl", psp.DefaultKeyTTL, "idempotency key lifetime (memory store; 0 disables expiry)")
 	cacheBytes := fs.Int64("cache-bytes", psp.DefaultVariantCacheBytes, "encoded transform-output cache budget in bytes (0 disables)")
 	coeffCacheBytes := fs.Int64("coeff-cache-bytes", psp.DefaultCoeffCacheBytes, "decoded-coefficient cache budget in bytes (0 disables)")
-	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-	drainGrace := fs.Duration("drain-grace", 250*time.Millisecond, "how long healthz advertises draining (503) before the listener closes")
 	reqTimeout := fs.Duration("request-timeout", 60*time.Second, "per-request handler timeout (0 disables)")
-	maxInflight := fs.Int("max-inflight", 0, "admission capacity in weighted units (0 = 16/proc default, negative disables shedding)")
-	admitWait := fs.Duration("admit-wait", 0, "max time a request may queue for admission before a 429 (0 = default)")
-	admitQueue := fs.Int("admit-queue", 0, "admission queue length beyond capacity (0 = default)")
-	admitRetryAfter := fs.Duration("admit-retry-after", 0, "base Retry-After hint on 429 responses (0 = default)")
 	faultSeed := fs.Int64("fault-seed", 0, "enable fault-injection middleware with this RNG seed (0 disables)")
 	faultRate := fs.Float64("fault-rate", 0, "probability of injecting the configured fault per request")
 	faultLatency := fs.Duration("fault-latency", 0, "injected latency; with zero latency the injected fault is a 503")
@@ -155,10 +149,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	}
 	fmt.Fprintf(stdout, "pspd serve cache: variants=%s coeffs=%s\n",
 		cacheBudgetString(server.VariantCacheBytes), cacheBudgetString(server.CoeffCacheBytes))
-	server.MaxInflight = *maxInflight
-	server.AdmitWait = *admitWait
-	server.AdmitQueue = *admitQueue
-	server.AdmitRetryAfter = *admitRetryAfter
+	server.Limits = d.Limits
 	handler := server.Handler()
 	if *faultSeed != 0 {
 		fault := faults.Fault{Kind: faults.Status503}
@@ -178,54 +169,5 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		handler = http.TimeoutHandler(handler, *reqTimeout, "request timed out\n")
 	}
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("pspd: listen: %w", err)
-	}
-	srv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	fmt.Fprintf(stdout, "pspd listening on %s\n", ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		// Serve only returns before shutdown on a real listener error.
-		return fmt.Errorf("pspd: serve: %w", err)
-	case <-ctx.Done():
-	}
-
-	// Flip healthz to 503 the moment shutdown begins and keep the listener
-	// open for a grace period: health-checking gateways observe the drain
-	// and stop routing here before connections start being refused.
-	server.SetDraining(true)
-	fmt.Fprintf(stdout, "pspd draining: healthz now 503, closing listener in %s\n", *drainGrace)
-	if *drainGrace > 0 {
-		select {
-		case <-time.After(*drainGrace):
-		case err := <-serveErr:
-			return fmt.Errorf("pspd: serve: %w", err)
-		}
-	}
-
-	fmt.Fprintf(stdout, "pspd shutting down, draining for up to %s\n", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("pspd: shutdown: %w", err)
-	}
-	// A clean Shutdown makes Serve return ErrServerClosed; that is the
-	// success path, not a fatal error.
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("pspd: serve: %w", err)
-	}
-	fmt.Fprintln(stdout, "pspd stopped cleanly")
-	return nil
+	return d.Serve(ctx, handler, server.SetDraining, stdout, ready)
 }

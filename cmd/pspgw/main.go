@@ -24,21 +24,18 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"puppies/internal/cluster"
 	"puppies/internal/psp"
+	"puppies/internal/spine"
 )
 
 func main() {
@@ -54,7 +51,8 @@ func main() {
 // is non-nil it receives the bound listen address once the socket is open.
 func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- string) error {
 	fs := flag.NewFlagSet("pspgw", flag.ContinueOnError)
-	addr := fs.String("addr", ":8750", "listen address")
+	d := spine.Daemon{Name: "pspgw"}
+	d.Flags(fs, ":8750", cluster.DefaultGatewayInflightPerProc)
 	shardList := fs.String("shards", "", "comma-separated shard base URLs (required)")
 	replicas := fs.Int("replicas", cluster.DefaultReplicas, "replicas per image (R)")
 	writeQuorum := fs.Int("write-quorum", 0, "replica acks required before an upload is answered (W; 0 means R/2+1)")
@@ -66,12 +64,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	hedgeDelay := fs.Duration("hedge-delay", cluster.DefaultHedgeDelay, "how long a read waits on one replica before hedging to the next")
 	shardTimeout := fs.Duration("shard-timeout", cluster.DefaultShardTimeout, "per-shard request timeout")
 	maxBody := fs.Int64("max-body", psp.DefaultMaxUpload, "request/response body byte cap")
-	maxInflight := fs.Int("max-inflight", 0, "admission capacity in weighted units (0 = 32/proc default, negative disables shedding)")
-	admitWait := fs.Duration("admit-wait", 0, "max time a request may queue for admission before a 429 (0 = default)")
-	admitQueue := fs.Int("admit-queue", 0, "admission queue length beyond capacity (0 = default)")
-	admitRetryAfter := fs.Duration("admit-retry-after", 0, "base Retry-After hint on 429 responses (0 = default)")
-	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
-	drainGrace := fs.Duration("drain-grace", 250*time.Millisecond, "how long healthz advertises draining (503) before the listener closes")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -97,10 +89,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		BreakerCooldown:    *breakerCooldown,
 		BreakerCooldownMax: *breakerCooldownMax,
 		ProbeInterval:      *probeInterval,
-		MaxInflight:        *maxInflight,
-		AdmitWait:          *admitWait,
-		AdmitQueue:         *admitQueue,
-		AdmitRetryAfter:    *admitRetryAfter,
+		Limits:             d.Limits,
 	})
 	if err != nil {
 		return fmt.Errorf("pspgw: %w", err)
@@ -109,51 +98,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	defer stopProbes()
 	gw.Start(probeCtx)
 
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("pspgw: listen: %w", err)
-	}
-	srv := &http.Server{
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	st := gw.Stats()
 	fmt.Fprintf(stdout, "pspgw fronting %d shards (R=%d W=%d, %d ring points)\n",
 		st.RingShards, st.Replicas, st.WriteQuorum, st.RingPoints)
-	fmt.Fprintf(stdout, "pspgw listening on %s\n", ln.Addr())
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		return fmt.Errorf("pspgw: serve: %w", err)
-	case <-ctx.Done():
-	}
-
-	gw.SetDraining(true)
-	fmt.Fprintf(stdout, "pspgw draining: healthz now 503, closing listener in %s\n", *drainGrace)
-	if *drainGrace > 0 {
-		select {
-		case <-time.After(*drainGrace):
-		case err := <-serveErr:
-			return fmt.Errorf("pspgw: serve: %w", err)
-		}
-	}
-
-	fmt.Fprintf(stdout, "pspgw shutting down, draining for up to %s\n", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("pspgw: shutdown: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("pspgw: serve: %w", err)
-	}
-	fmt.Fprintln(stdout, "pspgw stopped cleanly")
-	return nil
+	return d.Serve(ctx, gw.Handler(), gw.SetDraining, stdout, ready)
 }

@@ -6,9 +6,9 @@
 // unbounded queue until every request times out — under overload a server
 // must degrade by rejecting crisply, not by collapsing.
 //
-// The controller is deliberately tiny and dependency-free so both the PSP
-// server (internal/psp) and the cluster gateway (internal/cluster) front
-// their handlers with the same primitive.
+// The controller is deliberately tiny and dependency-free; the serving
+// spine (internal/spine) builds one per daemon and fronts the routes of
+// both the PSP server and the cluster gateway with it.
 package admission
 
 import (

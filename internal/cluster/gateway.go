@@ -7,11 +7,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,9 +17,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"puppies/internal/admission"
 	"puppies/internal/psp"
-	"puppies/internal/stats"
+	"puppies/internal/spine"
 )
 
 // Gateway defaults; every knob is a Config field.
@@ -32,16 +29,10 @@ const (
 	DefaultProbeInterval = 1 * time.Second
 )
 
-// Batch route limits, mirroring internal/psp's: per-part bodies are bounded
-// by Config.MaxBody, the whole multipart envelope by batchBodyFactor times
-// that, and part count by batchMaxParts. batchReplicateConcurrency bounds
-// how many parts replicate to their quorums at once — each part already
-// fans out to R shards, so this multiplies into in-flight shard requests.
-const (
-	batchMaxParts             = 1024
-	batchBodyFactor           = 16
-	batchReplicateConcurrency = 8
-)
+// batchReplicateConcurrency bounds how many batch items replicate to their
+// quorums at once — each item already fans out to R shards, so this
+// multiplies into in-flight shard requests.
+const batchReplicateConcurrency = 8
 
 // Config parameterizes a Gateway.
 type Config struct {
@@ -82,16 +73,10 @@ type Config struct {
 	// DisableReadVerify turns off the asynchronous quorum read
 	// verification that runs behind raw-image GETs.
 	DisableReadVerify bool
-	// MaxInflight caps concurrently served client requests in weighted
-	// units (transform proxies count double). Zero means
-	// DefaultGatewayInflightPerProc per GOMAXPROCS; negative disables
-	// admission control. AdmitWait, AdmitQueue, and AdmitRetryAfter shape
-	// the wait bound, queue cap, and shed Retry-After hint exactly as on
-	// psp.Server; zeros take the admission package defaults.
-	MaxInflight     int
-	AdmitWait       time.Duration
-	AdmitQueue      int
-	AdmitRetryAfter time.Duration
+	// Limits shapes the gateway's own admission control exactly as on
+	// psp.Server (transform proxies count double, see routes). Zero
+	// MaxInflight means DefaultGatewayInflightPerProc per GOMAXPROCS.
+	spine.Limits
 	// Now is stubbed in tests (nil means time.Now).
 	Now func() time.Time
 }
@@ -129,13 +114,7 @@ type Gateway struct {
 	ring   *Ring
 	shards map[string]*shard
 
-	draining atomic.Bool
-
-	admitOnce sync.Once
-	admit     *admission.Controller
-
-	latOnce sync.Once
-	lat     map[string]*stats.Histogram
+	sp *spine.Spine
 
 	uploads              atomic.Uint64
 	uploadQuorumFailures atomic.Uint64
@@ -171,6 +150,7 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:            cfg,
 		client:         &http.Client{Transport: cfg.Transport},
+		sp:             spine.New(cfg.Limits, DefaultGatewayInflightPerProc),
 		ring:           NewRing(cfg.VNodes),
 		shards:         make(map[string]*shard),
 		repairInflight: make(map[string]bool),
@@ -250,86 +230,7 @@ func (g *Gateway) maxBody() int64 {
 // SetDraining flips the gateway's own healthz to 503 so an upstream load
 // balancer stops routing to it before shutdown. Admission tightens too:
 // requests that would queue are shed immediately.
-func (g *Gateway) SetDraining(v bool) {
-	g.draining.Store(v)
-	g.admission().SetDraining(v)
-}
-
-// Route names for admission weights and latency histograms. The client-facing
-// surface mirrors internal/psp, so the names match the PSP's.
-var gatewayRouteWeights = map[string]int{
-	"upload":      1,
-	"batch":       0, // items pay per unit inside the worker pool
-	"list":        1,
-	"get":         1,
-	"params":      1,
-	"transformed": 2,
-	"pixels":      2,
-	"search":      2, // fans out to every shard, so it pays the heavy weight
-}
-
-// admission returns the gateway's admission controller, built on first use.
-// A negative MaxInflight yields nil, which admits everything.
-func (g *Gateway) admission() *admission.Controller {
-	g.admitOnce.Do(func() {
-		if g.cfg.MaxInflight < 0 {
-			return
-		}
-		capacity := g.cfg.MaxInflight
-		if capacity == 0 {
-			capacity = DefaultGatewayInflightPerProc * runtime.GOMAXPROCS(0)
-		}
-		g.admit = admission.New(admission.Config{
-			Capacity:   capacity,
-			MaxWait:    g.cfg.AdmitWait,
-			MaxQueue:   g.cfg.AdmitQueue,
-			RetryAfter: g.cfg.AdmitRetryAfter,
-		})
-		g.admit.SetDraining(g.draining.Load())
-	})
-	return g.admit
-}
-
-// latency returns the route's histogram from the fixed, read-only map.
-func (g *Gateway) latency(route string) *stats.Histogram {
-	g.latOnce.Do(func() {
-		g.lat = make(map[string]*stats.Histogram, len(gatewayRouteWeights))
-		for name := range gatewayRouteWeights {
-			g.lat[name] = &stats.Histogram{}
-		}
-	})
-	return g.lat[route]
-}
-
-// withAdmission fronts a client-facing route with admission control and
-// latency recording, mirroring the PSP server's behavior: sheds answer 429
-// with a fractional-seconds Retry-After and the overloaded error class.
-func (g *Gateway) withAdmission(route string, h http.HandlerFunc) http.HandlerFunc {
-	weight := gatewayRouteWeights[route]
-	hist := g.latency(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		if weight > 0 {
-			ctl := g.admission()
-			release, out := ctl.Acquire(r.Context(), weight)
-			if out != admission.Admitted {
-				writeGatewayOverloaded(w, ctl.RetryAfterHint(), out)
-				return
-			}
-			defer release()
-		}
-		start := time.Now()
-		h(w, r)
-		hist.Record(time.Since(start))
-	}
-}
-
-func writeGatewayOverloaded(w http.ResponseWriter, hint time.Duration, out admission.Outcome) {
-	if hint > 0 {
-		w.Header().Set("Retry-After", strconv.FormatFloat(hint.Seconds(), 'f', 3, 64))
-	}
-	w.Header().Set(psp.ErrorClassHeader, psp.ErrorClassOverloaded)
-	http.Error(w, fmt.Sprintf("overloaded (%s)", out), http.StatusTooManyRequests)
-}
+func (g *Gateway) SetDraining(v bool) { g.sp.SetDraining(v) }
 
 // replicaShards returns the shard structs for key's replica set, ring
 // order.
@@ -489,24 +390,31 @@ func isCorrupt(resp *shardResp) bool {
 //	POST /v1/admin/shards                 {"op":"join"|"leave","shard":URL}
 //	POST /v1/admin/repair                 full verify/re-replicate walk
 func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	// healthz, statz, and admin routes bypass admission: they are how
-	// operators observe and repair an overloaded cluster.
-	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
-	mux.HandleFunc("GET /v1/statz", g.handleStatz)
-	mux.HandleFunc("GET /v1/admin/shards", g.handleShardsGet)
-	mux.HandleFunc("POST /v1/admin/shards", g.handleShardsPost)
-	mux.HandleFunc("POST /v1/admin/repair", g.handleRepair)
-	mux.HandleFunc("GET /v1/images", g.withAdmission("list", g.handleList))
-	mux.HandleFunc("POST /v1/images", g.withAdmission("upload", g.handleUpload))
-	mux.HandleFunc("POST /v1/images:batch", g.withAdmission("batch", g.handleBatch))
-	mux.HandleFunc("GET /v1/images/{id}", g.withAdmission("get", g.handleProxy))
-	mux.HandleFunc("GET /v1/images/{id}/params", g.withAdmission("params", g.handleProxy))
-	mux.HandleFunc("GET /v1/images/{id}/transformed", g.withAdmission("transformed", g.handleProxy))
-	mux.HandleFunc("GET /v1/images/{id}/pixels", g.withAdmission("pixels", g.handleProxy))
-	mux.HandleFunc("GET /v1/search", g.withAdmission("search", g.handleSearch))
-	mux.HandleFunc("POST /v1/search", g.withAdmission("search", g.handleSearch))
-	return mux
+	return g.sp.Handler(g.routes())
+}
+
+// routes is the gateway's route table. Client-facing routes carry the
+// PSP's names and costs, except that search pays the heavy weight because
+// it fans out to every shard. healthz, statz and admin routes are unnamed,
+// so they bypass admission: they are how operators observe and repair an
+// overloaded cluster.
+func (g *Gateway) routes() []spine.Route {
+	return []spine.Route{
+		{Pattern: "GET /v1/healthz", Handler: g.handleHealthz},
+		{Pattern: "GET /v1/statz", Handler: g.handleStatz},
+		{Pattern: "GET /v1/admin/shards", Handler: g.handleShardsGet},
+		{Pattern: "POST /v1/admin/shards", Handler: g.handleShardsPost},
+		{Pattern: "POST /v1/admin/repair", Handler: g.handleRepair},
+		{Pattern: "GET /v1/images", Name: "list", Cost: 1, Handler: g.handleList},
+		{Pattern: "POST /v1/images", Name: "upload", Cost: 1, Handler: g.handleUpload},
+		{Pattern: "POST /v1/images:batch", Name: "batch", Handler: g.handleBatch},
+		{Pattern: "GET /v1/images/{id}", Name: "get", Cost: 1, Handler: g.handleProxy},
+		{Pattern: "GET /v1/images/{id}/params", Name: "params", Cost: 1, Handler: g.handleProxy},
+		{Pattern: "GET /v1/images/{id}/transformed", Name: "transformed", Cost: 2, Handler: g.handleProxy},
+		{Pattern: "GET /v1/images/{id}/pixels", Name: "pixels", Cost: 2, Handler: g.handleProxy},
+		{Pattern: "GET /v1/search", Name: "search", Cost: 2, Handler: g.handleSearch},
+		{Pattern: "POST /v1/search", Name: "search", Cost: 2, Handler: g.handleSearch},
+	}
 }
 
 // GatewayHealth is the gateway's GET /v1/healthz body.
@@ -517,11 +425,8 @@ type GatewayHealth struct {
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if g.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(GatewayHealth{Status: "draining"})
+	if g.sp.Draining() {
+		spine.WriteDraining(w, GatewayHealth{Status: "draining"})
 		return
 	}
 	g.mu.RLock()
@@ -534,15 +439,15 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	g.mu.RUnlock()
 	h := GatewayHealth{Status: "ok", Shards: total, Healthy: healthy}
-	w.Header().Set("Content-Type", "application/json")
+	code := http.StatusOK
 	if healthy == 0 {
 		h.Status = "unavailable"
 		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
+		code = http.StatusServiceUnavailable
 	} else if healthy < total {
 		h.Status = "degraded"
 	}
-	_ = json.NewEncoder(w).Encode(h)
+	spine.WriteJSON(w, code, h)
 }
 
 // ShardStatz is the per-shard block of the statz body. BreakerState,
@@ -574,8 +479,7 @@ type Statz struct {
 	OpenBreakers         int                   `json:"openBreakers"`
 	Shards               map[string]ShardStatz `json:"shards"`
 
-	Admission admission.Stats                    `json:"admission"`
-	LatencyNs map[string]stats.HistogramSnapshot `json:"latencyNs"`
+	spine.Stats
 }
 
 // Stats snapshots the cluster counters (the /v1/statz body).
@@ -594,6 +498,7 @@ func (g *Gateway) Stats() Statz {
 		ReadRepairs:          g.readRepairs.Load(),
 		Divergences:          g.divergences.Load(),
 		Shards:               make(map[string]ShardStatz, len(g.shards)),
+		Stats:                g.sp.Stats(),
 	}
 	for u, sh := range g.shards {
 		st := sh.breaker.State()
@@ -610,19 +515,11 @@ func (g *Gateway) Stats() Statz {
 			BreakerRecoveries: sh.breaker.Recoveries(),
 		}
 	}
-	out.Admission = g.admission().Stats()
-	out.LatencyNs = make(map[string]stats.HistogramSnapshot, len(gatewayRouteWeights))
-	for name := range gatewayRouteWeights {
-		if h := g.latency(name); h.Count() > 0 {
-			out.LatencyNs[name] = h.Snapshot()
-		}
-	}
 	return out
 }
 
 func (g *Gateway) handleStatz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(g.Stats())
+	spine.WriteJSON(w, http.StatusOK, g.Stats())
 }
 
 // deriveID maps an idempotency key to the image ID deterministically, so a
@@ -752,14 +649,8 @@ func (g *Gateway) replicateUpload(body []byte, key, contentType string) uploadOu
 }
 
 func (g *Gateway) handleUpload(w http.ResponseWriter, r *http.Request) {
-	limit := g.maxBody()
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if int64(len(body)) > limit {
-		http.Error(w, fmt.Sprintf("body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+	body, ok := spine.ReadBody(w, r, g.maxBody())
+	if !ok {
 		return
 	}
 	key := strings.TrimSpace(r.Header.Get("Idempotency-Key"))
@@ -769,8 +660,7 @@ func (g *Gateway) handleUpload(w http.ResponseWriter, r *http.Request) {
 	out := g.replicateUpload(body, key, r.Header.Get("Content-Type"))
 	switch {
 	case out.id != "":
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(psp.UploadResponse{ID: out.id})
+		spine.WriteJSON(w, http.StatusOK, psp.UploadResponse{ID: out.id})
 	case out.clientResp != nil:
 		writeShardResp(w, out.clientResp)
 	default:
@@ -778,187 +668,41 @@ func (g *Gateway) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// gatewayBatchItem is one in-flight batch entry: the reader loop fills it,
-// a worker replicates it and writes *slot. Workers never touch the slot
-// slice itself, so the reader can keep appending without a lock.
-type gatewayBatchItem struct {
-	slot   *psp.BatchResult
-	key    string
-	raw    bool // body is raw JPEG bytes, not UploadRequest JSON
-	body   []byte
-	params []byte
-	failed bool
+// handleBatch accepts the PSP's multipart batch protocol (the spine's
+// reader, see spine.ServeBatch) and replicates every item through the ring
+// — items hash to different replica sets, so a batch spreads across the
+// cluster. Items replicate with bounded concurrency while later parts are
+// still streaming in; results keep item order.
+func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
+	g.sp.ServeBatch(w, r, g.maxBody(), batchReplicateConcurrency, g.replicateItem)
 }
 
-// handleBatch accepts the same multipart batch protocol as the PSP's
-// /v1/images:batch (JSON parts carrying an UploadRequest body, or raw
-// image/jpeg parts with an optional adjacent params part, each with an
-// optional per-part Idempotency-Key) and replicates every item through the
-// ring — items hash to different replica sets, so a batch spreads across
-// the cluster. Raw items are wrapped into an UploadRequest document before
-// replication, so shards see the same PUT body either way. Items replicate
-// with bounded concurrency while later parts are still streaming in;
-// results keep item order.
-func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	limit := g.maxBody()
-	r.Body = http.MaxBytesReader(w, r.Body, batchBodyFactor*limit)
-	mr, err := r.MultipartReader()
-	if err != nil {
-		http.Error(w, fmt.Sprintf("batch requires multipart/form-data: %v", err), http.StatusBadRequest)
-		return
+// replicateItem replicates one batch item. Raw items are wrapped into an
+// UploadRequest document, so shards see the same PUT body either way. The
+// body sent is always a fresh copy: straggler PUTs keep reading it after
+// quorum, long after the reader has recycled the item's part buffer.
+func (g *Gateway) replicateItem(it spine.BatchItem) psp.BatchResult {
+	key := it.Key
+	if key == "" {
+		key = newUploadKey()
 	}
-	var (
-		wg    sync.WaitGroup
-		slots []*psp.BatchResult
-	)
-	sem := make(chan struct{}, batchReplicateConcurrency)
-	dispatch := func(it *gatewayBatchItem) {
-		if it == nil || it.failed {
-			return
+	var body []byte
+	if it.Raw {
+		var err error
+		if body, err = json.Marshal(psp.UploadRequest{Image: it.Body, Params: it.Params}); err != nil {
+			return psp.BatchResult{Error: fmt.Sprintf("encode upload: %v", err), Status: http.StatusInternalServerError}
 		}
-		wg.Add(1)
-		// Acquire the slot inside the goroutine so the read loop never
-		// stops draining the socket (a paused reader closes the TCP window
-		// and the client stalls on the persist timer); buffered parts are
-		// bounded by the whole-batch body cap regardless.
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Per-item admission, mirroring the PSP batch route: the
-			// envelope was free, each replicated item pays one unit, and a
-			// shed lands as a 429 in that item's result slot.
-			ctl := g.admission()
-			release, admitted := ctl.Acquire(r.Context(), 1)
-			if admitted != admission.Admitted {
-				*it.slot = psp.BatchResult{
-					Error:  fmt.Sprintf("overloaded (%s); retry after %.3fs", admitted, ctl.RetryAfterHint().Seconds()),
-					Status: http.StatusTooManyRequests,
-				}
-				return
-			}
-			defer release()
-			body := it.body
-			if it.raw {
-				wrapped, err := json.Marshal(psp.UploadRequest{Image: it.body, Params: it.params})
-				if err != nil {
-					*it.slot = psp.BatchResult{Error: fmt.Sprintf("encode upload: %v", err), Status: http.StatusInternalServerError}
-					return
-				}
-				body = wrapped
-			}
-			out := g.replicateUpload(body, it.key, "application/json")
-			res := psp.BatchResult{ID: out.id}
-			switch {
-			case out.clientResp != nil:
-				res = psp.BatchResult{
-					Error:  string(bytes.TrimSpace(out.clientResp.body)),
-					Status: out.clientResp.status,
-				}
-			case out.unavailable:
-				res = psp.BatchResult{Error: out.msg, Status: http.StatusServiceUnavailable}
-			}
-			*it.slot = res
-		}()
+	} else {
+		body = bytes.Clone(it.Body)
 	}
-	var pending *gatewayBatchItem
-	fail := func(status int, format string, args ...any) {
-		dispatch(pending)
-		wg.Wait()
-		if status != 0 {
-			http.Error(w, fmt.Sprintf(format, args...), status)
-		}
+	out := g.replicateUpload(body, key, "application/json")
+	switch {
+	case out.clientResp != nil:
+		return psp.BatchResult{Error: string(bytes.TrimSpace(out.clientResp.body)), Status: out.clientResp.status}
+	case out.unavailable:
+		return psp.BatchResult{Error: out.msg, Status: http.StatusServiceUnavailable}
 	}
-	for i := 0; ; i++ {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				fail(http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
-				return
-			}
-			fail(0, "") // stream died mid-batch: no one to answer
-			return
-		}
-		if i >= batchMaxParts {
-			fail(http.StatusBadRequest, "batch exceeds %d parts", batchMaxParts)
-			return
-		}
-
-		isParams := part.FormName() == psp.BatchParamsPart
-		if isParams && (pending == nil || !pending.raw) {
-			fail(http.StatusBadRequest, "params part without a preceding image part")
-			return
-		}
-
-		var buf bytes.Buffer
-		n, rerr := io.Copy(&buf, io.LimitReader(part, limit+1))
-		if rerr != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(rerr, &mbe) {
-				fail(http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
-				return
-			}
-			fail(0, "")
-			return
-		}
-
-		if isParams {
-			if n > limit {
-				pending.slot.Error = fmt.Sprintf("params part exceeds %d bytes", limit)
-				pending.slot.Status = http.StatusRequestEntityTooLarge
-				pending.failed = true
-			} else if !pending.failed {
-				pending.params = buf.Bytes()
-			}
-			dispatch(pending)
-			pending = nil
-			continue
-		}
-
-		dispatch(pending)
-		pending = nil
-
-		key := strings.TrimSpace(part.Header.Get("Idempotency-Key"))
-		if key == "" {
-			key = newUploadKey()
-		}
-		it := &gatewayBatchItem{
-			slot: new(psp.BatchResult),
-			key:  key,
-			raw:  strings.HasPrefix(part.Header.Get("Content-Type"), "image/"),
-			body: buf.Bytes(),
-		}
-		slots = append(slots, it.slot)
-		if n > limit {
-			it.body = nil
-			it.failed = true
-			*it.slot = psp.BatchResult{
-				Error:  fmt.Sprintf("part exceeds %d bytes", limit),
-				Status: http.StatusRequestEntityTooLarge,
-			}
-		}
-		if it.raw {
-			pending = it
-		} else if !it.failed {
-			dispatch(it)
-		}
-	}
-	dispatch(pending)
-	wg.Wait()
-	if len(slots) == 0 {
-		http.Error(w, "empty batch", http.StatusBadRequest)
-		return
-	}
-	results := make([]psp.BatchResult, len(slots))
-	for i, slot := range slots {
-		results[i] = *slot
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(psp.BatchResponse{Results: results})
+	return psp.BatchResult{ID: out.id}
 }
 
 // classifyUpload folds one PUT outcome into breaker state and an ack.
@@ -1208,8 +952,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 		g.writeUnavailable(w, 0, "cluster: no shard reachable for listing")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(psp.ListResponse{IDs: ids})
+	spine.WriteJSON(w, http.StatusOK, psp.ListResponse{IDs: ids})
 }
 
 // mergedIDs unions /v1/images across every member. With R-way replication

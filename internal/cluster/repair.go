@@ -5,11 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
 	"puppies/internal/psp"
+	"puppies/internal/spine"
 )
 
 // goRepair schedules an asynchronous repair of id onto target, deduplicating
@@ -141,8 +141,7 @@ func (g *Gateway) handleRepair(w http.ResponseWriter, r *http.Request) {
 		g.writeUnavailable(w, 0, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(rep)
+	spine.WriteJSON(w, http.StatusOK, rep)
 }
 
 // MembershipChange is the POST /v1/admin/shards body.
@@ -175,8 +174,7 @@ func (g *Gateway) handleShardsGet(w http.ResponseWriter, r *http.Request) {
 		infos = append(infos, ShardInfo{URL: u, BreakerState: g.shards[u].breaker.State().String()})
 	}
 	g.mu.RUnlock()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
+	spine.WriteJSON(w, http.StatusOK, struct {
 		Shards []ShardInfo `json:"shards"`
 	}{Shards: infos})
 }
@@ -187,9 +185,8 @@ func (g *Gateway) handleShardsGet(w http.ResponseWriter, r *http.Request) {
 // handleProxy falls back to non-replica members while records are still
 // moving.
 func (g *Gateway) handleShardsPost(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
+	body, ok := spine.ReadBody(w, r, 1<<16)
+	if !ok {
 		return
 	}
 	var ch MembershipChange
@@ -197,7 +194,10 @@ func (g *Gateway) handleShardsPost(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("decode request: %v", err), http.StatusBadRequest)
 		return
 	}
-	var changed bool
+	var (
+		changed bool
+		err     error
+	)
 	switch ch.Op {
 	case "join":
 		changed, err = g.addShard(ch.Shard)
@@ -233,8 +233,7 @@ func (g *Gateway) handleShardsPost(w http.ResponseWriter, r *http.Request) {
 	g.mu.RLock()
 	members := g.ring.Members()
 	g.mu.RUnlock()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(MembershipResponse{Shards: members, Changed: changed, Rebalance: rep})
+	spine.WriteJSON(w, http.StatusOK, MembershipResponse{Shards: members, Changed: changed, Rebalance: rep})
 }
 
 // Start launches the background health checker: every ProbeInterval each

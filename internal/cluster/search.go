@@ -3,12 +3,12 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 
 	"puppies/internal/psp"
 	"puppies/internal/searchidx"
+	"puppies/internal/spine"
 )
 
 // Cluster search (GET/POST /v1/search): signatures are indexed
@@ -36,17 +36,10 @@ type searchOutcome struct {
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
-		limit := g.maxBody()
-		b, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-		if err != nil {
-			http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
+		var ok bool
+		if body, ok = spine.ReadBody(w, r, g.maxBody()); !ok {
 			return
 		}
-		if int64(len(b)) > limit {
-			http.Error(w, fmt.Sprintf("body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
-			return
-		}
-		body = b
 	}
 	pathQ := r.URL.Path
 	if r.URL.RawQuery != "" {
@@ -168,8 +161,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for _, h := range merged {
 		out.Results = append(out.Results, searchidx.Result{ID: h.id, Distance: h.d})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(out)
+	spine.WriteJSON(w, http.StatusOK, out)
 }
 
 type sortableHit struct {

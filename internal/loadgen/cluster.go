@@ -13,6 +13,7 @@ import (
 	"puppies/internal/cluster"
 	"puppies/internal/faults"
 	"puppies/internal/psp"
+	"puppies/internal/spine"
 )
 
 // SelfConfig shapes an in-process cluster for selfhost load runs.
@@ -27,10 +28,9 @@ type SelfConfig struct {
 
 	// Gateway admission knobs (zero = cluster defaults; the load gate
 	// constrains these to force client-visible 429s).
-	GatewayMaxInflight     int
-	GatewayAdmitWait       time.Duration
-	GatewayAdmitQueue      int
-	GatewayAdmitRetryAfter time.Duration
+	GatewayMaxInflight int
+	GatewayAdmitWait   time.Duration
+	GatewayAdmitQueue  int
 	// ShardMaxInflight caps each shard's own admission (zero = default).
 	ShardMaxInflight int
 
@@ -189,10 +189,11 @@ func StartSelfCluster(cfg SelfConfig) (*SelfCluster, error) {
 		FailThreshold:   cfg.FailThreshold,
 		BreakerCooldown: cfg.BreakerCooldown,
 		ProbeInterval:   cfg.ProbeInterval,
-		MaxInflight:     cfg.GatewayMaxInflight,
-		AdmitWait:       cfg.GatewayAdmitWait,
-		AdmitQueue:      cfg.GatewayAdmitQueue,
-		AdmitRetryAfter: cfg.GatewayAdmitRetryAfter,
+		Limits: spine.Limits{
+			MaxInflight: cfg.GatewayMaxInflight,
+			AdmitWait:   cfg.GatewayAdmitWait,
+			AdmitQueue:  cfg.GatewayAdmitQueue,
+		},
 	})
 	if err != nil {
 		c.Close()

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"puppies/internal/spine"
 )
 
 // blockingStore gates Get so tests can hold a request (and its admission
@@ -55,7 +57,7 @@ func holdInflight(t *testing.T, s *Server, ts *httptest.Server) chan error {
 		done <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.admission().Stats().Inflight == 0 {
+	for s.Statz().Admission.Inflight == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("holder never admitted")
 		}
@@ -87,7 +89,7 @@ func TestOverloadShedTimeout(t *testing.T) {
 	if cls := resp.Header.Get(errorClassHeader); cls != errorClassOverloaded {
 		t.Fatalf("error class %q, want %q", cls, errorClassOverloaded)
 	}
-	if st := s.admission().Stats(); st.ShedTimeout != 1 {
+	if st := s.Statz().Admission; st.ShedTimeout != 1 {
 		t.Fatalf("stats %+v, want ShedTimeout=1", st)
 	}
 
@@ -136,7 +138,7 @@ func TestOverloadShedQueueFull(t *testing.T) {
 		queued <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.admission().Stats().Queued != 1 {
+	for s.Statz().Admission.Queued != 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never filled")
 		}
@@ -156,7 +158,7 @@ func TestOverloadShedQueueFull(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("queue-full shed took %v, want instant", d)
 	}
-	if st := s.admission().Stats(); st.ShedQueueFull != 1 {
+	if st := s.Statz().Admission; st.ShedQueueFull != 1 {
 		t.Fatalf("stats %+v, want ShedQueueFull=1", st)
 	}
 
@@ -184,7 +186,7 @@ func TestOverloadShedUnderDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 while draining", resp.StatusCode)
 	}
-	if st := s.admission().Stats(); st.ShedDraining != 1 {
+	if st := s.Statz().Admission; st.ShedDraining != 1 {
 		t.Fatalf("stats %+v, want ShedDraining=1", st)
 	}
 
@@ -317,7 +319,7 @@ func TestStatzExposesAdmissionAndLatency(t *testing.T) {
 
 func TestRetryAfterHeaderIsFractionalSeconds(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeOverloaded(rec, 250*time.Millisecond, 0)
+	spine.WriteOverloaded(rec, 250*time.Millisecond, 0)
 	got := rec.Header().Get("Retry-After")
 	f, err := strconv.ParseFloat(got, 64)
 	if err != nil || f != 0.25 {

@@ -12,68 +12,41 @@ import (
 	"io"
 	"mime/multipart"
 	"net/http"
-	"strings"
 	"sync"
 
-	"puppies/internal/admission"
 	"puppies/internal/core"
 	"puppies/internal/jpegc"
 	"puppies/internal/parallel"
 	"puppies/internal/searchidx"
+	"puppies/internal/spine"
 )
 
-// Batch upload protocol (POST /v1/images:batch, DESIGN.md §14): the request
-// is multipart/form-data where each item is either
-//
-//   - one part with Content-Type image/jpeg whose body is the raw JPEG
-//     bytes, optionally followed by a part named "params" carrying the
-//     item's public-parameter JSON — the fast path: no JSON envelope, no
-//     base64, the part body goes pooled-buffer → validator → store; or
-//   - one part with Content-Type application/json whose body is an
-//     UploadRequest document — exactly the POST /v1/images body.
-//
-// Either kind of image part may carry its own Idempotency-Key part header.
-// Parts are read sequentially off the wire (multipart is inherently serial)
-// into pooled buffers and handed to a bounded worker pool, so JPEG
-// validation — the expensive step of an upload — overlaps the next part
-// still streaming in. The read loop never blocks on a worker slot: a paused
-// reader closes the TCP window and the client stalls on the ~200ms persist
-// timer.
-//
-// The response is a BatchResponse whose results array matches the item
-// order. Per-item failures (oversized part, undecodable JPEG, bad JSON) are
-// reported in that item's result entry with an HTTP-equivalent status; they
-// do not fail the batch. Only a malformed envelope (no parts, bad multipart
-// syntax, a params part with no preceding raw image part, too many parts,
-// total body over the batch cap) fails the whole request.
-const (
-	// batchMaxParts bounds how many parts one batch may carry.
-	batchMaxParts = 1024
-	// batchBodyFactor scales MaxUpload into the whole-batch body cap: each
-	// part is still individually bounded by MaxUpload, and the envelope by
-	// batchBodyFactor*MaxUpload.
-	batchBodyFactor = 16
+// Batch upload protocol (POST /v1/images:batch, DESIGN.md §14): the
+// multipart framing, limits, per-item admission and worker pool live in
+// spine.ServeBatch, shared with the cluster gateway; the PSP supplies only
+// its per-item store function (storeItem) and concurrency. The result types
+// are the protocol's, aliased here for clients.
+type (
+	BatchResult   = spine.BatchResult
+	BatchResponse = spine.BatchResponse
 )
 
 // BatchParamsPart names the multipart part that attaches public parameters
 // to the immediately preceding raw image part.
-const BatchParamsPart = "params"
+const BatchParamsPart = spine.BatchParamsPart
 
-// BatchResult is one item's outcome, in item order. Exactly one of ID or
-// Error is set; Status carries the HTTP-equivalent code for failed items.
-// DuplicateOf/Distance carry the near-duplicate hint when the signature
-// index already held a close match for a stored item (see UploadResponse).
-type BatchResult struct {
-	ID          string `json:"id,omitempty"`
-	Error       string `json:"error,omitempty"`
-	Status      int    `json:"status,omitempty"`
-	DuplicateOf string `json:"duplicateOf,omitempty"`
-	Distance    uint32 `json:"distance,omitempty"`
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	s.spine().ServeBatch(w, r, s.maxUpload(), parallel.Workers(), s.storeItem)
 }
 
-// BatchResponse is the POST /v1/images:batch body.
-type BatchResponse struct {
-	Results []BatchResult `json:"results"`
+// storeItem stores one batch item. The reader recycles the item's buffers
+// once it returns, which is safe: storeRaw copies borrowed bytes and
+// storeOne's JSON decode allocates its own.
+func (s *Server) storeItem(it spine.BatchItem) BatchResult {
+	if it.Raw {
+		return s.storeRaw(it.Body, it.Params, it.Key, false)
+	}
+	return s.storeOne(it.Body, it.Key)
 }
 
 // storeRaw validates and stores one image with optional public parameters,
@@ -138,199 +111,6 @@ func (s *Server) storeOne(body []byte, key string) BatchResult {
 		return BatchResult{Error: fmt.Sprintf("decode request: %v", err), Status: http.StatusBadRequest}
 	}
 	return s.storeRaw(req.Image, req.Params, key, true)
-}
-
-// batchItem is one in-flight batch entry: the reader loop fills it, a
-// worker stores it and writes *slot. Workers never touch the slot slice
-// itself, so the reader can keep appending without a lock.
-type batchItem struct {
-	slot   *BatchResult
-	key    string
-	raw    bool          // body is raw JPEG bytes, not UploadRequest JSON
-	buf    *bytes.Buffer // pooled; the worker recycles it
-	params *bytes.Buffer // pooled; optional params for a raw item
-	failed bool          // slot already holds a per-item error; do not dispatch
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	limit := s.maxUpload()
-	r.Body = http.MaxBytesReader(w, r.Body, batchBodyFactor*limit)
-	mr, err := r.MultipartReader()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "batch requires multipart/form-data: %v", err)
-		return
-	}
-
-	var (
-		wg    sync.WaitGroup
-		slots []*BatchResult
-	)
-	sem := make(chan struct{}, parallel.Workers())
-	dispatch := func(it *batchItem) {
-		if it == nil || it.failed {
-			return
-		}
-		wg.Add(1)
-		// The semaphore is taken inside the goroutine, never in the read
-		// loop — see the protocol comment. Memory stays bounded anyway:
-		// buffered parts never exceed the whole-batch body cap enforced by
-		// MaxBytesReader above.
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Each item pays its own admission unit — the envelope was free
-			// (weight 0), so under overload a batch sheds per item with a
-			// 429 in that item's result slot rather than failing the whole
-			// envelope. The client re-uploads only the shed items; stored
-			// ones deduplicate by idempotency key.
-			ctl := s.admission()
-			release, out := ctl.Acquire(r.Context(), 1)
-			if out != admission.Admitted {
-				putBuf(it.buf)
-				if it.params != nil {
-					putBuf(it.params)
-				}
-				*it.slot = BatchResult{
-					Error:  fmt.Sprintf("overloaded (%s); retry after %.3fs", out, ctl.RetryAfterHint().Seconds()),
-					Status: http.StatusTooManyRequests,
-				}
-				return
-			}
-			defer release()
-			var res BatchResult
-			if it.raw {
-				var pb []byte
-				if it.params != nil {
-					pb = it.params.Bytes()
-				}
-				res = s.storeRaw(it.buf.Bytes(), pb, it.key, false)
-			} else {
-				res = s.storeOne(it.buf.Bytes(), it.key)
-			}
-			putBuf(it.buf)
-			if it.params != nil {
-				putBuf(it.params)
-			}
-			*it.slot = res
-		}()
-	}
-
-	// pending holds a raw image item that may still receive a params part;
-	// any other part (or EOF) flushes it to a worker first.
-	var pending *batchItem
-	fail := func(status int, format string, args ...any) {
-		dispatch(pending)
-		wg.Wait()
-		if status != 0 {
-			httpError(w, status, format, args...)
-		}
-	}
-	for i := 0; ; i++ {
-		part, err := mr.NextPart()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				fail(http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
-				return
-			}
-			// The stream died mid-batch (client abort, network cut): there
-			// is no one to answer, and an incomplete result list must not
-			// masquerade as the batch outcome.
-			fail(0, "")
-			return
-		}
-		if i >= batchMaxParts {
-			fail(http.StatusBadRequest, "batch exceeds %d parts", batchMaxParts)
-			return
-		}
-
-		// Only a JSON-typed part can be a params part, so raw image parts —
-		// the fast path's bulk — skip the Content-Disposition media-type
-		// parse entirely.
-		raw := strings.HasPrefix(part.Header.Get("Content-Type"), "image/")
-		isParams := !raw && part.FormName() == BatchParamsPart
-		if isParams && (pending == nil || !pending.raw) {
-			fail(http.StatusBadRequest, "params part without a preceding image part")
-			return
-		}
-
-		buf := getBuf()
-		// Read one byte past the limit so oversized parts are detected
-		// rather than silently truncated.
-		n, rerr := io.Copy(buf, io.LimitReader(part, limit+1))
-		if rerr != nil {
-			putBuf(buf)
-			var mbe *http.MaxBytesError
-			if errors.As(rerr, &mbe) {
-				fail(http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
-				return
-			}
-			fail(0, "")
-			return
-		}
-
-		if isParams {
-			// Attaches to the pending raw item; a failed pending item
-			// (oversized) just swallows its params.
-			if n > limit {
-				putBuf(buf)
-				pending.slot.Error = fmt.Sprintf("params part exceeds %d bytes", limit)
-				pending.slot.Status = http.StatusRequestEntityTooLarge
-				pending.failed = true
-			} else if pending.failed {
-				putBuf(buf)
-			} else {
-				pending.params = buf
-			}
-			dispatch(pending)
-			pending = nil
-			continue
-		}
-
-		// A new item: flush any raw item still waiting for params.
-		dispatch(pending)
-		pending = nil
-
-		it := &batchItem{
-			slot: new(BatchResult),
-			key:  strings.TrimSpace(part.Header.Get(idempotencyHeader)),
-			raw:  raw,
-			buf:  buf,
-		}
-		slots = append(slots, it.slot)
-		if n > limit {
-			putBuf(buf)
-			it.buf = nil
-			it.failed = true
-			// NextPart discards the rest of the part; the whole-body cap
-			// above bounds how much an oversized part can make us skip.
-			*it.slot = BatchResult{
-				Error:  fmt.Sprintf("part exceeds %d bytes", limit),
-				Status: http.StatusRequestEntityTooLarge,
-			}
-		}
-		if it.raw {
-			pending = it // may still receive a params part
-		} else if !it.failed {
-			dispatch(it)
-		}
-	}
-	dispatch(pending)
-	wg.Wait()
-	if len(slots) == 0 {
-		httpError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	results := make([]BatchResult, len(slots))
-	for i, slot := range slots {
-		results[i] = *slot
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(BatchResponse{Results: results})
 }
 
 // batchWriterPool recycles the client's multipart coalescing buffer.

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"puppies/internal/jpegc"
+	"puppies/internal/spine"
 )
 
 // testJPEGBytes encodes a small valid JPEG for upload bodies.
@@ -266,7 +267,7 @@ func TestUploadBatchTooManyParts(t *testing.T) {
 	pr, pw := io.Pipe()
 	mw := multipart.NewWriter(pw)
 	go func() {
-		for i := 0; i <= batchMaxParts; i++ {
+		for i := 0; i <= spine.BatchMaxParts; i++ {
 			hdr := make(textproto.MIMEHeader)
 			hdr.Set("Content-Type", "application/json")
 			w, err := mw.CreatePart(hdr)

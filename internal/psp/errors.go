@@ -11,6 +11,8 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"puppies/internal/spine"
 )
 
 // Sentinel errors callers can branch on with errors.Is. They classify every
@@ -42,9 +44,9 @@ var (
 // code: a 500 carrying class "corrupt" means the *stored data* is damaged,
 // which no amount of retrying the same route will fix.
 const (
-	errorClassHeader     = "X-PSP-Error-Class"
+	errorClassHeader     = spine.ErrorClassHeader
 	errorClassCorrupt    = "corrupt"
-	errorClassOverloaded = "overloaded"
+	errorClassOverloaded = spine.ErrorClassOverloaded
 )
 
 // Exported aliases of the error-class protocol, used by the cluster gateway

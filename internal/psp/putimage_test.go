@@ -8,7 +8,6 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 )
 
 func doPutImage(t *testing.T, h http.Handler, id string, req UploadRequest, key string) *httptest.ResponseRecorder {
@@ -156,7 +155,6 @@ func TestPutImageHonorsIdempotencyKey(t *testing.T) {
 
 func TestHealthzDraining(t *testing.T) {
 	srv := NewServer()
-	srv.DrainRetryAfter = 2 * time.Second
 	h := srv.Handler()
 	jpeg := testJPEG(t, 32, 24)
 	storeImage(t, srv.st(), "img-f", jpeg)
@@ -170,8 +168,8 @@ func TestHealthzDraining(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining: HTTP %d, want 503", rec.Code)
 	}
-	if got := rec.Header().Get("Retry-After"); got != "2" {
-		t.Fatalf("Retry-After = %q, want %q", got, "2")
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want %q", got, "1")
 	}
 	var hr HealthResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &hr); err != nil {

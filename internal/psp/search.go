@@ -3,13 +3,13 @@ package psp
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"puppies/internal/jpegc"
 	"puppies/internal/searchidx"
+	"puppies/internal/spine"
 )
 
 // Search route (GET/POST /v1/search, DESIGN.md §16): k-NN over the
@@ -124,14 +124,8 @@ func (s *Server) signatureFor(w http.ResponseWriter, id string) (searchidx.Signa
 // image/jpeg body, or an UploadRequest JSON document when the request says
 // application/json.
 func (s *Server) signatureFromBody(w http.ResponseWriter, r *http.Request) (searchidx.Signature, bool) {
-	limit := s.maxUpload()
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return searchidx.Signature{}, false
-	}
-	if int64(len(body)) > limit {
-		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", limit)
+	body, ok := spine.ReadBody(w, r, s.maxUpload())
+	if !ok {
 		return searchidx.Signature{}, false
 	}
 	image, params := body, []byte(nil)
@@ -191,6 +185,5 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if res == nil {
 		res = []searchidx.Result{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(SearchResponse{Results: res})
+	spine.WriteJSON(w, http.StatusOK, SearchResponse{Results: res})
 }

@@ -12,20 +12,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"puppies/internal/admission"
 	"puppies/internal/jpegc"
 	"puppies/internal/searchidx"
-	"puppies/internal/stats"
+	"puppies/internal/spine"
 	"puppies/internal/transform"
 )
 
@@ -54,26 +49,10 @@ type Server struct {
 	VariantCacheBytes int64
 	CoeffCacheBytes   int64
 
-	// DrainRetryAfter is the Retry-After hint healthz sends while
-	// draining. Zero means 1 second. Set before Handler is used.
-	DrainRetryAfter time.Duration
-
-	// MaxInflight caps concurrently served requests in weighted units
-	// (transform routes count double — see routeWeights). Requests beyond
-	// it queue briefly and are then shed with 429 + Retry-After. Zero means
-	// DefaultInflightPerProc per GOMAXPROCS; negative disables admission
-	// control. Set before Handler is used.
-	MaxInflight int
-	// AdmitWait bounds how long a request may queue for admission before
-	// being shed. Zero means admission.DefaultMaxWait.
-	AdmitWait time.Duration
-	// AdmitQueue bounds the admission wait queue; arrivals beyond it shed
-	// instantly. Zero means admission.DefaultQueueFactor times capacity.
-	AdmitQueue int
-	// AdmitRetryAfter is the base Retry-After hint on shed responses (the
-	// effective hint scales with queue depth). Zero means
-	// admission.DefaultRetryAfter.
-	AdmitRetryAfter time.Duration
+	// Limits shapes admission control (see spine.Limits): transform routes
+	// cost two units (see routes). Zero MaxInflight means
+	// DefaultInflightPerProc per GOMAXPROCS. Set before Handler is used.
+	spine.Limits
 
 	// SearchIndex, when set before the first request, backs /v1/search —
 	// e.g. a durable searchidx.OpenDir index that pspd snapshots across
@@ -97,13 +76,8 @@ type Server struct {
 	cacheOnce sync.Once
 	scache    *serveCache
 
-	admitOnce sync.Once
-	admit     *admission.Controller
-
-	latOnce sync.Once
-	lat     map[string]*stats.Histogram
-
-	draining atomic.Bool
+	spineOnce sync.Once
+	sp        *spine.Spine
 }
 
 // DefaultInflightPerProc scales the default admission capacity: weighted
@@ -112,117 +86,17 @@ type Server struct {
 // not to throttle ordinary bursts.
 const DefaultInflightPerProc = 16
 
-// Route names used for admission weights and latency histograms.
-const (
-	routeUpload      = "upload"
-	routeBatch       = "batch"
-	routePut         = "put"
-	routeList        = "list"
-	routeGet         = "get"
-	routeParams      = "params"
-	routeTransformed = "transformed"
-	routePixels      = "pixels"
-	routeSearch      = "search"
-)
-
-// routeWeights prices each route in admission units: transform routes do
-// decode + DCT-domain work and are roughly twice the cost of a store
-// read/write. The batch envelope is free (weight 0) — each batch item
-// acquires its own unit inside the worker pool, so a batch sheds per item
-// instead of all-or-nothing.
-var routeWeights = map[string]int{
-	routeUpload:      1,
-	routeBatch:       0,
-	routePut:         1,
-	routeList:        1,
-	routeGet:         1,
-	routeParams:      1,
-	routeTransformed: 2,
-	routePixels:      2,
-	// Search by image bytes decodes a JPEG like the transform routes do;
-	// the by-ID form is cheaper but shares the route.
-	routeSearch: 2,
+// spine returns the serving spine, built on first use from Limits.
+func (s *Server) spine() *spine.Spine {
+	s.spineOnce.Do(func() { s.sp = spine.New(s.Limits, DefaultInflightPerProc) })
+	return s.sp
 }
 
-// admission returns the admission controller, built on first use from the
-// configured knobs. A negative MaxInflight yields nil, which admits
-// everything.
-func (s *Server) admission() *admission.Controller {
-	s.admitOnce.Do(func() {
-		if s.MaxInflight < 0 {
-			return
-		}
-		capacity := s.MaxInflight
-		if capacity == 0 {
-			capacity = DefaultInflightPerProc * runtime.GOMAXPROCS(0)
-		}
-		s.admit = admission.New(admission.Config{
-			Capacity:   capacity,
-			MaxWait:    s.AdmitWait,
-			MaxQueue:   s.AdmitQueue,
-			RetryAfter: s.AdmitRetryAfter,
-		})
-		s.admit.SetDraining(s.draining.Load())
-	})
-	return s.admit
-}
-
-// latency returns the route's histogram; routes are fixed so the map is
-// built once and only ever read afterwards.
-func (s *Server) latency(route string) *stats.Histogram {
-	s.latOnce.Do(func() {
-		s.lat = make(map[string]*stats.Histogram, len(routeWeights))
-		for name := range routeWeights {
-			s.lat[name] = &stats.Histogram{}
-		}
-	})
-	return s.lat[route]
-}
-
-// withAdmission fronts a handler with admission control and latency
-// recording. Shed requests answer 429 with a Retry-After hint and the
-// overloaded error class; admitted requests release their units when the
-// handler returns and record wall time into the route histogram.
-func (s *Server) withAdmission(route string, h http.HandlerFunc) http.HandlerFunc {
-	weight := routeWeights[route]
-	hist := s.latency(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		if weight > 0 {
-			ctl := s.admission()
-			release, out := ctl.Acquire(r.Context(), weight)
-			if out != admission.Admitted {
-				writeOverloaded(w, ctl.RetryAfterHint(), out)
-				return
-			}
-			defer release()
-		}
-		start := time.Now()
-		h(w, r)
-		hist.Record(time.Since(start))
-	}
-}
-
-// writeOverloaded is the one shed response shape: 429, a fractional-seconds
-// Retry-After the client honors exactly, and the overloaded error class so
-// StatusError maps it to ErrOverloaded.
-func writeOverloaded(w http.ResponseWriter, hint time.Duration, out admission.Outcome) {
-	if hint > 0 {
-		w.Header().Set("Retry-After", strconv.FormatFloat(hint.Seconds(), 'f', 3, 64))
-	}
-	w.Header().Set(errorClassHeader, errorClassOverloaded)
-	httpError(w, http.StatusTooManyRequests, "overloaded (%s)", out)
-}
-
-// SetDraining flips the server into (or out of) draining mode: GET
-// /v1/healthz answers 503 with a Retry-After hint while every other route
-// keeps serving. Flipping this the moment shutdown begins lets routing
-// gateways stop sending new traffic before in-flight requests finish.
-// Admission tightens too: requests that would have to queue are shed
-// immediately, so shutdown never grows a backlog it is about to abandon.
-func (s *Server) SetDraining(v bool) {
-	s.draining.Store(v)
-	s.admission().SetDraining(v)
-}
+// SetDraining flips the server into (or out of) draining mode (see
+// spine.Spine.SetDraining): GET /v1/healthz answers 503 with a Retry-After
+// hint while every other route keeps serving, and admission sheds requests
+// that would have to queue.
+func (s *Server) SetDraining(v bool) { s.spine().SetDraining(v) }
 
 // NewServer returns a PSP over an ephemeral in-memory store.
 func NewServer() *Server {
@@ -330,23 +204,43 @@ type HealthResponse struct {
 // cache.go): an encoded-variant LRU over a decoded-coefficient LRU, with
 // concurrent identical requests collapsed into one computation.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	// healthz and statz bypass admission: they are how operators and
-	// gateways observe an overloaded server, so they must answer even when
-	// everything else sheds.
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/statz", s.handleStatz)
-	mux.HandleFunc("GET /v1/images", s.withAdmission(routeList, s.handleList))
-	mux.HandleFunc("POST /v1/images", s.withAdmission(routeUpload, s.handleUpload))
-	mux.HandleFunc("POST /v1/images:batch", s.withAdmission(routeBatch, s.handleBatch))
-	mux.HandleFunc("PUT /v1/images/{id}", s.withAdmission(routePut, s.handlePutImage))
-	mux.HandleFunc("GET /v1/images/{id}", s.withAdmission(routeGet, s.handleGet))
-	mux.HandleFunc("GET /v1/images/{id}/params", s.withAdmission(routeParams, s.handleParams))
-	mux.HandleFunc("GET /v1/images/{id}/transformed", s.withAdmission(routeTransformed, s.handleTransformed))
-	mux.HandleFunc("GET /v1/images/{id}/pixels", s.withAdmission(routePixels, s.handlePixels))
-	mux.HandleFunc("GET /v1/search", s.withAdmission(routeSearch, s.handleSearch))
-	mux.HandleFunc("POST /v1/search", s.withAdmission(routeSearch, s.handleSearch))
-	return mux
+	return s.spine().Handler(s.routes())
+}
+
+// Route names: the latency histogram keys on /v1/statz.
+const (
+	routeUpload      = "upload"
+	routeBatch       = "batch"
+	routePut         = "put"
+	routeList        = "list"
+	routeGet         = "get"
+	routeParams      = "params"
+	routeTransformed = "transformed"
+	routePixels      = "pixels"
+	routeSearch      = "search"
+)
+
+// routes is the PSP's route table. Transform routes do decode + DCT-domain
+// work and cost twice a store read/write; search by image bytes decodes a
+// JPEG like them (the by-ID form is cheaper but shares the route). The
+// batch envelope is free and each item pays its own unit. healthz and
+// statz are unnamed, so they bypass admission: they are how operators and
+// gateways observe an overloaded server.
+func (s *Server) routes() []spine.Route {
+	return []spine.Route{
+		{Pattern: "GET /v1/healthz", Handler: s.handleHealthz},
+		{Pattern: "GET /v1/statz", Handler: s.handleStatz},
+		{Pattern: "GET /v1/images", Name: routeList, Cost: 1, Handler: s.handleList},
+		{Pattern: "POST /v1/images", Name: routeUpload, Cost: 1, Handler: s.handleUpload},
+		{Pattern: "POST /v1/images:batch", Name: routeBatch, Handler: s.handleBatch},
+		{Pattern: "PUT /v1/images/{id}", Name: routePut, Cost: 1, Handler: s.handlePutImage},
+		{Pattern: "GET /v1/images/{id}", Name: routeGet, Cost: 1, Handler: s.handleGet},
+		{Pattern: "GET /v1/images/{id}/params", Name: routeParams, Cost: 1, Handler: s.handleParams},
+		{Pattern: "GET /v1/images/{id}/transformed", Name: routeTransformed, Cost: 2, Handler: s.handleTransformed},
+		{Pattern: "GET /v1/images/{id}/pixels", Name: routePixels, Cost: 2, Handler: s.handlePixels},
+		{Pattern: "GET /v1/search", Name: routeSearch, Cost: 2, Handler: s.handleSearch},
+		{Pattern: "POST /v1/search", Name: routeSearch, Cost: 2, Handler: s.handleSearch},
+	}
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...interface{}) {
@@ -354,49 +248,35 @@ func httpError(w http.ResponseWriter, code int, format string, args ...interface
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if s.draining.Load() {
-		retry := s.DrainRetryAfter
-		if retry <= 0 {
-			retry = time.Second
-		}
-		secs := int64((retry + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(HealthResponse{Status: "draining", Images: s.Len()})
+	h := HealthResponse{Status: "ok", Images: s.Len()}
+	if s.spine().Draining() {
+		h.Status = "draining"
+		spine.WriteDraining(w, h)
 		return
 	}
-	_ = json.NewEncoder(w).Encode(HealthResponse{Status: "ok", Images: s.Len()})
+	spine.WriteJSON(w, http.StatusOK, h)
 }
 
-// StatzResponse is the GET /v1/statz body: cache statistics plus admission
-// counters and per-route latency quantiles.
+// StatzResponse is the GET /v1/statz body: cache statistics, the search
+// section, and the spine's admission counters and per-route latency
+// quantiles.
 type StatzResponse struct {
 	CacheStatsResponse
-	Admission admission.Stats                    `json:"admission"`
-	Search    SearchStats                        `json:"search"`
-	LatencyNs map[string]stats.HistogramSnapshot `json:"latencyNs"`
+	spine.Stats
+	Search SearchStats `json:"search"`
 }
 
 // Statz snapshots the full server statistics (the /v1/statz body).
 func (s *Server) Statz() StatzResponse {
-	lat := make(map[string]stats.HistogramSnapshot, len(routeWeights))
-	for name := range routeWeights {
-		if h := s.latency(name); h.Count() > 0 {
-			lat[name] = h.Snapshot()
-		}
-	}
 	return StatzResponse{
 		CacheStatsResponse: s.CacheStats(),
-		Admission:          s.admission().Stats(),
+		Stats:              s.spine().Stats(),
 		Search:             s.searchStats(),
-		LatencyNs:          lat,
 	}
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(s.Statz())
+	spine.WriteJSON(w, http.StatusOK, s.Statz())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -405,21 +285,12 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if ids == nil {
 		ids = []string{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(ListResponse{IDs: ids})
+	spine.WriteJSON(w, http.StatusOK, ListResponse{IDs: ids})
 }
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	limit := s.maxUpload()
-	// Read one byte past the limit so oversized bodies are detected
-	// rather than silently truncated into undecodable JSON.
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > limit {
-		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", limit)
+	body, ok := spine.ReadBody(w, r, s.maxUpload())
+	if !ok {
 		return
 	}
 	res := s.storeOne(body, strings.TrimSpace(r.Header.Get(idempotencyHeader)))
@@ -431,10 +302,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 func writeUploadResponse(w http.ResponseWriter, res BatchResult) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(UploadResponse{ID: res.ID, DuplicateOf: res.DuplicateOf, Distance: res.Distance}); err != nil {
-		return
-	}
+	spine.WriteJSON(w, http.StatusOK, UploadResponse{ID: res.ID, DuplicateOf: res.DuplicateOf, Distance: res.Distance})
 }
 
 // validImageID bounds caller-chosen IDs for PUT /v1/images/{id} to names
@@ -483,14 +351,8 @@ func (s *Server) handlePutImage(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad image id: %v", err)
 		return
 	}
-	limit := s.maxUpload()
-	body, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if int64(len(body)) > limit {
-		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", limit)
+	body, ok := spine.ReadBody(w, r, s.maxUpload())
+	if !ok {
 		return
 	}
 	var req UploadRequest
