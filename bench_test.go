@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"puppies"
+	"puppies/internal/benchgate"
 	"puppies/internal/experiments"
 	"puppies/internal/keys"
 	"puppies/internal/transform"
@@ -313,18 +314,24 @@ func BenchmarkProtectRecoverPerMP(b *testing.B) {
 	}
 }
 
-// BenchmarkProtectRecoverAllocSLO is a constants row: it performs no work
-// and only publishes the allocation budget for the protect + recover
-// pipeline, so benchfmt ratio gates can assert measured-vs-budget from a
-// single report (AllocSLO/PerMP >= 1 in allocs/op). The megapixel pipeline
-// runs in the high hundreds of allocations once image conversion stays on
-// the typed Pix-slice paths; the budget's headroom is for worker-count and
-// Go-version variance, while the per-pixel color.Color regression this
-// guards against is a six-order-of-magnitude jump.
-func BenchmarkProtectRecoverAllocSLO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+// maxProtectRecoverAllocs is the allocation budget for one megapixel
+// protect + recover. The pipeline measures 929-962 allocs/op on a 2-vCPU
+// x86-64 host once image conversion stays on the typed Pix-slice paths;
+// the headroom is for worker-count and Go-version variance, while the
+// per-pixel color.Color regression this guards against is a
+// six-order-of-magnitude jump.
+const maxProtectRecoverAllocs = 2500
+
+// TestProtectRecoverAllocBudget runs BenchmarkProtectRecoverPerMP and holds
+// it to maxProtectRecoverAllocs. It uses testing.Benchmark rather than
+// testing.AllocsPerRun, which forces GOMAXPROCS=1 and so changes the
+// worker count the pipeline allocates for.
+func TestProtectRecoverAllocBudget(t *testing.T) {
+	res := benchgate.Best(t, 1, BenchmarkProtectRecoverPerMP)[0]
+	t.Logf("protect+recover at 1 MP: %d allocs/op", res.AllocsPerOp())
+	if got := res.AllocsPerOp(); got > maxProtectRecoverAllocs {
+		t.Fatalf("protect+recover at 1 MP: %d allocs/op, budget %d", got, maxProtectRecoverAllocs)
 	}
-	b.ReportMetric(2500, "allocs/op")
 }
 
 // BenchmarkPSPRecompress drives the full entropy path end-to-end the way a

@@ -151,7 +151,8 @@ func BenchmarkAblationZeroSkip(b *testing.B) {
 // targets: one optimized-tables encode (statistics pass + table build +
 // scan write) and one decode of a perturbed image, with allocations as the
 // headline number. Before the pooled zero-allocation rework this path cost
-// ~14.7k allocs/op (see BENCH_PR2.json, BenchmarkAblationHuffmanTables).
+// ~14.7k allocs/op (BenchmarkAblationHuffmanTables then; README's
+// performance table lists it).
 func BenchmarkScanPathAllocs(b *testing.B) {
 	base := benchNaturalImage(b, 128, 96)
 	sch, err := NewScheme(Params{Variant: VariantC, MR: 32, K: 8})

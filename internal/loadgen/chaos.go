@@ -1,5 +1,5 @@
 // Package loadgen is the load & chaos harness behind `cmd/loadgen` and
-// `make load-gate`: a seeded Zipf traffic generator (closed- or open-loop)
+// TestSoakChaosZipf: a seeded Zipf traffic generator (closed- or open-loop)
 // that replays a realistic mix of PSP operations against a live pspd or
 // cluster gateway while a chaos schedule injects 503 bursts, latency
 // spikes, partitions, and shard kills — and then reports per-route latency
@@ -8,7 +8,7 @@
 //
 // Everything is seeded: the corpus, the op mix, the Zipf ranks, the fault
 // schedule. Two runs with the same seed replay the same workload, which is
-// what makes the SLO gate in CI meaningful rather than a coin flip.
+// what makes the soak test's assertions meaningful rather than a coin flip.
 package loadgen
 
 import (
@@ -122,7 +122,7 @@ func (s *Schedule) End() time.Duration {
 	return end
 }
 
-// GateSchedule is the builtin schedule `make load-gate` runs against a
+// GateSchedule is the builtin schedule TestSoakChaosZipf runs against a
 // 3-shard cluster: a full 503 blackout on shard 0, a partial burst on
 // shard 1, then a partition of shard 2 — staggered so the replica quorum
 // (R=3, W=2) always has two healthy shards and a retrying client should

@@ -26,7 +26,7 @@ type SelfConfig struct {
 	// gateway default R/2+1.
 	Replicas int
 
-	// Gateway admission knobs (zero = cluster defaults; the load gate
+	// Gateway admission knobs (zero = cluster defaults; the soak test
 	// constrains these to force client-visible 429s).
 	GatewayMaxInflight int
 	GatewayAdmitWait   time.Duration

@@ -1,22 +1,19 @@
 package loadgen
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"puppies/internal/psp"
 	"puppies/internal/stats"
 )
-
-// fakeSnapshot builds a flat latency snapshot for report tests.
-func fakeSnapshot(p99 int64) stats.HistogramSnapshot {
-	return stats.HistogramSnapshot{Count: 100, MeanNs: float64(p99), MinNs: p99, MaxNs: p99, P50Ns: p99, P90Ns: p99, P99Ns: p99, P999Ns: p99}
-}
 
 func TestParseMix(t *testing.T) {
 	m, err := ParseMix("hotget=50, coldget=20,upload=30")
@@ -218,50 +215,23 @@ func TestClassifyTaxonomy(t *testing.T) {
 	}
 }
 
-func TestBenchRowsEncodeSLO(t *testing.T) {
-	rep := &Report{
-		Seed: 1,
-		Routes: map[string]RouteReport{
-			RouteHotGet: {Ops: 100, Latency: fakeSnapshot(100)},
-			RouteThumb:  {Ops: 40, Latency: fakeSnapshot(40)},
-		},
-	}
-	rows := rep.BenchRows(250*time.Millisecond, 250*time.Millisecond)
-	byName := map[string]BenchRow{}
-	for _, row := range rows {
-		byName[row.Name] = row
-	}
-	slo, ok := byName["LoadSLOHotGet"]
-	if !ok {
-		t.Fatalf("rows missing SLO: %v", rows)
-	}
-	if slo.Metrics["p99-ns"] != float64(250*time.Millisecond) || slo.Metrics["ok-per-op"] != 1 {
-		t.Fatalf("slo row %+v", slo)
-	}
-	hot := byName["LoadHotGet"]
-	if hot.Iterations != 100 || hot.Metrics["ok-per-op"] != 1 {
-		t.Fatalf("hot row %+v", hot)
-	}
-	tslo, ok := byName["LoadSLOThumbnail"]
-	if !ok {
-		t.Fatalf("rows missing thumbnail SLO: %v", rows)
-	}
-	if tslo.Metrics["p99-ns"] != float64(250*time.Millisecond) || tslo.Metrics["ok-per-op"] != 1 {
-		t.Fatalf("thumbnail slo row %+v", tslo)
-	}
-	if thumb := byName["LoadThumbnail"]; thumb.Iterations != 40 {
-		t.Fatalf("thumbnail row %+v", thumb)
-	}
-	// The gate ratio must hold exactly when p99 is under the ceiling.
-	if slo.Metrics["p99-ns"]/hot.Metrics["p99-ns"] < 1 {
-		t.Fatalf("gate ratio below 1: slo=%v hot=%v", slo.Metrics["p99-ns"], hot.Metrics["p99-ns"])
-	}
-	// Row names must be slash-free for benchfmt's ratio grammar.
-	for _, row := range rows {
-		for _, r := range row.Name {
-			if r == '/' {
-				t.Fatalf("row name %q contains '/'", row.Name)
-			}
+// TestSummaryShowsTail checks the CLI digest prints the tail past p99:
+// 429s retried after Retry-After land there, invisible at p99.
+func TestSummaryShowsTail(t *testing.T) {
+	rep := &Report{Routes: map[string]RouteReport{
+		RouteHotGet: {Ops: 100, Latency: stats.HistogramSnapshot{
+			Count:  100,
+			P50Ns:  int64(time.Millisecond),
+			P99Ns:  int64(3 * time.Millisecond),
+			P999Ns: int64(998 * time.Millisecond),
+			MaxNs:  int64(4 * time.Second),
+		}},
+	}}
+	var buf bytes.Buffer
+	rep.Summary(&buf)
+	for _, want := range []string{"p99=3ms", "p99.9=998ms", "max=4s"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("summary missing %q:\n%s", want, buf.String())
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -27,7 +26,7 @@ type RouteReport struct {
 
 // ClusterReport captures gateway-side evidence after a selfhost chaos run:
 // that overload shedding happened, and that breakers tripped AND came
-// back. The load gate asserts on these, not just on client-side numbers.
+// back. TestSoakChaosZipf asserts on these, not just on client-side numbers.
 type ClusterReport struct {
 	GatewaySheds      uint64 `json:"gatewaySheds"`
 	BreakerOpens      uint64 `json:"breakerOpens"`
@@ -37,8 +36,7 @@ type ClusterReport struct {
 	Hedges            uint64 `json:"hedges"`
 }
 
-// Report is a full load run's result, serializable for archiving next to
-// the benchfmt rows.
+// Report is a full load run's result, serializable as the -report JSON.
 type Report struct {
 	Seed              int64                  `json:"seed"`
 	DurationSec       float64                `json:"durationSec"`
@@ -62,112 +60,8 @@ func (r *Report) TotalOps() uint64 {
 }
 
 // Sheds reports how many client-visible 429s occurred (terminal or
-// retried), including per-item batch sheds — the number -require-sheds
-// gates on.
+// retried), including per-item batch sheds.
 func (r *Report) Sheds() uint64 { return r.Client.Overloaded + r.ItemSheds }
-
-// BenchRow is one benchfmt-compatible JSON result row; field names match
-// cmd/benchfmt's Result so `benchfmt -new BENCH_PR8.json -ratio ...` reads
-// loadgen output directly.
-type BenchRow struct {
-	Name       string             `json:"name"`
-	Iterations int64              `json:"iterations"`
-	NsPerOp    float64            `json:"ns_per_op"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
-}
-
-// benchRouteNames maps report routes to benchfmt row names. Slash-free on
-// purpose: benchfmt's ratio grammar splits NUM/DEN on '/'.
-var benchRouteNames = map[string]string{
-	RouteHotGet:  "LoadHotGet",
-	RouteColdGet: "LoadColdGet",
-	RouteUpload:  "LoadUpload",
-	RouteBatch:   "LoadBatch",
-	RouteRecover: "LoadRecover",
-	RouteSearch:  "LoadSearch",
-	RouteThumb:   "LoadThumbnail",
-}
-
-// BenchRows renders the report as benchfmt rows. Each route row carries
-// its latency quantiles and ok/err fractions; LoadOverall aggregates the
-// run; LoadSLOHotGet and LoadSLOThumbnail are synthetic rows holding the
-// SLO bounds so a plain benchfmt ratio check becomes an absolute gate:
-//
-//	LoadSLOHotGet/LoadHotGet       >= 1 : p99-ns   (hot GET p99 under ceiling)
-//	LoadSLOThumbnail/LoadThumbnail >= 1 : p99-ns   (1/8-scale GET p99 under ceiling)
-//	LoadOverall/LoadSLOHotGet      >= 1 : ok-per-op (zero unexpected failures)
-func (r *Report) BenchRows(sloHotGetP99, sloThumbP99 time.Duration) []BenchRow {
-	rows := make([]BenchRow, 0, len(r.Routes)+2)
-	for _, route := range sortedRoutes(r.Routes) {
-		rr := r.Routes[route]
-		ok := float64(rr.Ops-rr.Unexpected) / float64(rr.Ops)
-		rows = append(rows, BenchRow{
-			Name:       benchRouteNames[route],
-			Iterations: int64(rr.Ops),
-			NsPerOp:    rr.Latency.MeanNs,
-			Metrics: map[string]float64{
-				"p50-ns":     float64(rr.Latency.P50Ns),
-				"p90-ns":     float64(rr.Latency.P90Ns),
-				"p99-ns":     float64(rr.Latency.P99Ns),
-				"ok-per-op":  ok,
-				"err-per-op": float64(rr.Unexpected) / float64(rr.Ops),
-			},
-		})
-	}
-	total := r.TotalOps()
-	if total > 0 {
-		var meanNs float64
-		for _, rr := range r.Routes {
-			meanNs += rr.Latency.MeanNs * float64(rr.Ops)
-		}
-		rows = append(rows, BenchRow{
-			Name:       "LoadOverall",
-			Iterations: int64(total),
-			NsPerOp:    meanNs / float64(total),
-			Metrics: map[string]float64{
-				"ok-per-op":  float64(total-r.Unexpected) / float64(total),
-				"err-per-op": float64(r.Unexpected) / float64(total),
-				"shed-count": float64(r.Sheds()),
-				"retries":    float64(r.Client.Retries),
-			},
-		})
-	}
-	if sloHotGetP99 > 0 {
-		rows = append(rows, BenchRow{
-			Name:       "LoadSLOHotGet",
-			Iterations: 1,
-			NsPerOp:    1,
-			Metrics: map[string]float64{
-				"p99-ns":    float64(sloHotGetP99.Nanoseconds()),
-				"ok-per-op": 1,
-			},
-		})
-	}
-	if sloThumbP99 > 0 {
-		rows = append(rows, BenchRow{
-			Name:       "LoadSLOThumbnail",
-			Iterations: 1,
-			NsPerOp:    1,
-			Metrics: map[string]float64{
-				"p99-ns":    float64(sloThumbP99.Nanoseconds()),
-				"ok-per-op": 1,
-			},
-		})
-	}
-	return rows
-}
-
-// WriteBenchJSON writes the rows as indented JSON (the BENCH_PR8.json
-// artifact).
-func (r *Report) WriteBenchJSON(w io.Writer, sloHotGetP99, sloThumbP99 time.Duration) error {
-	data, err := json.MarshalIndent(r.BenchRows(sloHotGetP99, sloThumbP99), "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	_, err = w.Write(data)
-	return err
-}
 
 // Summary renders a human-readable digest for the CLI.
 func (r *Report) Summary(w io.Writer) {
@@ -175,10 +69,12 @@ func (r *Report) Summary(w io.Writer) {
 		r.Seed, r.Mode, r.DurationSec, r.TotalOps(), r.Unexpected, r.Sheds(), r.Client.Retries)
 	for _, route := range sortedRoutes(r.Routes) {
 		rr := r.Routes[route]
-		fmt.Fprintf(w, "  %-8s ops=%-6d p50=%-10v p99=%-10v errs=%v\n",
+		fmt.Fprintf(w, "  %-8s ops=%-6d p50=%-10v p99=%-10v p99.9=%-10v max=%-10v errs=%v\n",
 			route, rr.Ops,
 			time.Duration(rr.Latency.P50Ns).Round(time.Microsecond),
 			time.Duration(rr.Latency.P99Ns).Round(time.Microsecond),
+			time.Duration(rr.Latency.P999Ns).Round(time.Microsecond),
+			time.Duration(rr.Latency.MaxNs).Round(time.Microsecond),
 			rr.Errors)
 	}
 	if r.Cluster != nil {

@@ -4,23 +4,38 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"puppies/internal/benchgate"
 )
 
-// TestSoakChaosZipf is the in-process version of `make load-gate`: a
-// 3-shard cluster with a deliberately tiny gateway admission capacity,
-// Zipf traffic from several closed-loop workers, and the builtin gate
-// schedule (full 503 blackout, partial burst, partition) running
-// underneath. It asserts the whole robustness story at once:
+// p99 ceilings for the hot transformed GET and the 1/8-scale thumbnail
+// routes under TestSoakChaosZipf's chaos and shedding: 6x the idle p99.
+// Both measured 2.4-4.1 ms p99 (median 3.3 ms) on an idle 2-vCPU x86-64
+// host, and up to 9 ms with the rest of `go test ./...` running beside
+// it. The ceilings sit below 10x even the fastest idle run, so a 10x
+// regression fails.
+const (
+	maxHotGetP99 = 20 * time.Millisecond
+	maxThumbP99  = 20 * time.Millisecond
+)
+
+// TestSoakChaosZipf is the seeded load run: a 3-shard cluster with a
+// deliberately tiny gateway admission capacity, Zipf traffic from several
+// closed-loop workers, and the builtin gate schedule (full 503 blackout,
+// partial burst, partition) running underneath. It asserts the whole
+// robustness story at once:
 //
 //   - zero unexpected client-visible failures — every fault was absorbed
 //     by failover, quorum, retries, or an honest 429;
 //   - overload shedding actually happened (client saw 429s) and the
 //     client retried them away;
-//   - shard breakers tripped during the chaos AND recovered by the end.
+//   - shard breakers tripped during the chaos AND recovered by the end;
+//   - hot GET and thumbnail p99 stay under maxHotGetP99 and maxThumbP99
+//     (skipped under the race detector).
 //
-// Runs under -short and -race: ~4s of wall time, all loopback.
+// ~8s of wall time, all loopback.
 func TestSoakChaosZipf(t *testing.T) {
-	const total = 4 * time.Second
+	const total = 8 * time.Second
 
 	c, err := StartSelfCluster(SelfConfig{
 		Shards:             3,
@@ -38,8 +53,8 @@ func TestSoakChaosZipf(t *testing.T) {
 		BaseURL:  c.URL,
 		Seed:     42,
 		Duration: total,
-		Workers:  10,
-		Corpus:   12,
+		Workers:  12,
+		Corpus:   16,
 		Logf:     t.Logf,
 	})
 	if err != nil {
@@ -85,6 +100,22 @@ func TestSoakChaosZipf(t *testing.T) {
 	}
 	if rep.Cluster.OpenBreakers != 0 {
 		t.Fatalf("breakers still open after the clean tail: %+v", rep.Cluster)
+	}
+	t.Logf("soak: %d ops, %d sheds, %d breaker recoveries, p99 hotget %v thumbnail %v",
+		rep.TotalOps(), rep.Sheds(), rep.Cluster.BreakerRecoveries,
+		time.Duration(rep.Routes[RouteHotGet].Latency.P99Ns), time.Duration(rep.Routes[RouteThumb].Latency.P99Ns))
+	if benchgate.Race {
+		return
+	}
+	for route, ceiling := range map[string]time.Duration{RouteHotGet: maxHotGetP99, RouteThumb: maxThumbP99} {
+		rr, ok := rep.Routes[route]
+		if !ok || rr.Ops == 0 {
+			t.Errorf("route %s never ran", route)
+			continue
+		}
+		if p99 := time.Duration(rr.Latency.P99Ns); p99 > ceiling {
+			t.Errorf("route %s p99 %v, want <= %v", route, p99, ceiling)
+		}
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
+	"puppies/internal/benchgate"
 	"puppies/internal/jpegc"
 	"puppies/internal/transform"
 )
@@ -28,7 +30,8 @@ func benchJPEG(b *testing.B) []byte {
 
 // benchThumbSpec is the canonical 1/8-scale thumbnail — the same spec the
 // load generator's thumbnail route requests. The Cold/Thumbnail benchmark
-// pair below serves this one spec so the thumb-gate ratio is like-for-like.
+// pair below serves this one spec so TestThumbnailSpeedup's ratio is
+// like-for-like.
 var benchThumbSpec = transform.Spec{Op: transform.OpScale, FactorX: 0.125, FactorY: 0.125}
 
 func benchServer(b *testing.B, variantBytes, coeffBytes int64) (*Server, http.Handler, string) {
@@ -58,8 +61,8 @@ func serveOnce(b *testing.B, h http.Handler, path string) *httptest.ResponseReco
 // path at the thumbnail spec: full JPEG decode, pixel-domain resample,
 // optimized re-encode per request — what every thumbnail request cost
 // before the scaled-decode path. The planner is disabled so this row keeps
-// measuring the full path (the thumb-gate baseline the scaled-decode rows
-// are compared against).
+// measuring the full path (the baseline TestThumbnailSpeedup compares the
+// scaled-decode path against).
 func BenchmarkServeTransformedCold(b *testing.B) {
 	srv, h, path := benchServer(b, -1, -1)
 	srv.DisableScaledDecode = true
@@ -75,8 +78,8 @@ func BenchmarkServeTransformedCold(b *testing.B) {
 // cache is warm (a grid client requests many variants of the same image,
 // so entropy decode amortizes) but every served variant is computed from
 // coefficients — reduced IDCT, residual resample, FDCT over the small
-// plane, encode. The thumb-gate requires this ≥5x faster than
-// BenchmarkServeTransformedCold.
+// plane, encode. TestThumbnailSpeedup requires this minThumbSpeedup faster
+// than BenchmarkServeTransformedCold.
 func BenchmarkServeThumbnailCold(b *testing.B) {
 	benchThumbnailCold(b, false)
 }
@@ -95,6 +98,27 @@ func benchThumbnailCold(b *testing.B, disableScaled bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serveOnce(b, h, path)
+	}
+}
+
+// minThumbSpeedup is how much faster the scaled-decode thumbnail path must
+// serve than the full path. Measured 6.5-10.4x on a 2-vCPU x86-64 host;
+// the like-for-like BenchmarkServeThumbnailColdFullPath ratio (5.3-6.1x
+// there) is reported, not bounded.
+const minThumbSpeedup = 5
+
+// TestThumbnailSpeedup holds BenchmarkServeThumbnailCold to minThumbSpeedup
+// over BenchmarkServeTransformedCold, best of three interleaved runs each.
+func TestThumbnailSpeedup(t *testing.T) {
+	if benchgate.Race {
+		t.Skip("timing ratios skip under the race detector")
+	}
+	res := benchgate.Best(t, 3, BenchmarkServeTransformedCold, BenchmarkServeThumbnailCold)
+	ratio := float64(res[0].NsPerOp()) / float64(res[1].NsPerOp())
+	t.Logf("thumbnail path %.2fx faster than the full path (%v vs %v per request)",
+		ratio, time.Duration(res[1].NsPerOp()), time.Duration(res[0].NsPerOp()))
+	if ratio < minThumbSpeedup {
+		t.Fatalf("thumbnail path only %.2fx faster than the full path, want >= %dx", ratio, minThumbSpeedup)
 	}
 }
 

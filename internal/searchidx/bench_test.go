@@ -6,18 +6,15 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"puppies/internal/benchgate"
 )
 
-// Benchmarks for BENCH_PR9.json. The headline rows and their gates
-// (Makefile search-gate / bench-compare):
+// Search benchmarks. TestSearchAt100k asserts the headline bounds on the
+// 10^5 corpus through the same benchmark functions:
 //
 //	BenchmarkSearchLookup10k/100k/1M   indexed k-NN, ns/op + p50-ns/p99-ns
 //	BenchmarkSearchScan100k            exact brute-force baseline
-//	BenchmarkSearchSLO                 constants row: the SLO thresholds
-//
-//	BenchmarkSearchScan100k/BenchmarkSearchLookup100k >= 50   (ns/op)
-//	BenchmarkSearchLookup100k/BenchmarkSearchSLO      >= 1    (recall-k10)
-//	BenchmarkSearchSLO/BenchmarkSearchLookup100k      >= 1    (p99-ns)
 //
 // The corpus is synthetic and clustered: groups of sigma-4 noisy copies
 // around random base signatures, queried with fresh noisy copies of a base.
@@ -33,6 +30,7 @@ var benchIndexes = map[int]*benchCorpus{}
 type benchCorpus struct {
 	ix      *Index
 	queries []Signature
+	recall  float64 // recall@10 over 200 queries; 0 until first measured
 }
 
 const (
@@ -41,8 +39,8 @@ const (
 	benchSigma       = 4
 )
 
-func corpusFor(b *testing.B, n int) *benchCorpus {
-	b.Helper()
+func corpusFor(tb testing.TB, n int) *benchCorpus {
+	tb.Helper()
 	if c, ok := benchIndexes[n]; ok {
 		return c
 	}
@@ -87,8 +85,18 @@ func benchmarkLookup(b *testing.B, n int) {
 	b.ReportMetric(q(0.50), "p50-ns")
 	b.ReportMetric(q(0.99), "p99-ns")
 	if n == 100_000 {
-		b.ReportMetric(measureRecall(c, 10, 200), "recall-k10")
+		b.ReportMetric(c.recall10(), "recall-k10")
 	}
+}
+
+// recall10 is measureRecall(c, 10, 200), computed once per corpus: the
+// index and queries are fixed, and 200 exact scans would otherwise dominate
+// every b.N round of the lookup benchmark.
+func (c *benchCorpus) recall10() float64 {
+	if c.recall == 0 {
+		c.recall = measureRecall(c, 10, 200)
+	}
+	return c.recall
 }
 
 // measureRecall computes recall@k of the indexed lookup against the exact
@@ -126,8 +134,8 @@ func BenchmarkSearchLookup10k(b *testing.B)  { benchmarkLookup(b, 10_000) }
 func BenchmarkSearchLookup100k(b *testing.B) { benchmarkLookup(b, 100_000) }
 func BenchmarkSearchLookup1M(b *testing.B)   { benchmarkLookup(b, 1_000_000) }
 
-// BenchmarkSearchScan100k is the brute-force baseline the indexed lookup is
-// gated 50x against.
+// BenchmarkSearchScan100k is the brute-force baseline the indexed lookup
+// must beat by minSpeedup100k.
 func BenchmarkSearchScan100k(b *testing.B) {
 	c := corpusFor(b, 100_000)
 	b.ResetTimer()
@@ -178,13 +186,36 @@ var sink uint32
 func BenchmarkSADKernel(b *testing.B) { benchmarkSAD(b, sad64) }
 func BenchmarkSADNaive(b *testing.B)  { benchmarkSAD(b, sadNaive) }
 
-// BenchmarkSearchSLO is a constants row: it performs no work and only
-// publishes the SLO thresholds, so benchfmt ratio gates can assert
-// measured-vs-threshold from a single report (p99 under 1ms at 10^5,
-// recall@10 at least 0.9).
-func BenchmarkSearchSLO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+// Bounds TestSearchAt100k asserts on the clustered 10^5 corpus. Measured
+// on a 2-vCPU x86-64 host: lookup 146-258x faster than the scan, recall@10
+// 0.9985, lookup p99 25-60µs.
+const (
+	minSpeedup100k = 50
+	minRecall100k  = 0.9
+	maxP99100k     = time.Millisecond
+)
+
+// TestSearchAt100k holds the indexed lookup to its bounds at 10^5
+// signatures: at least minSpeedup100k faster than the exact scan, recall@10
+// of at least minRecall100k, and p99 under maxP99100k. The time bounds
+// skip under the race detector; recall always runs.
+func TestSearchAt100k(t *testing.T) {
+	c := corpusFor(t, 100_000)
+	if r := c.recall10(); r < minRecall100k {
+		t.Fatalf("recall@10 = %.4f, want >= %.2f", r, minRecall100k)
 	}
-	b.ReportMetric(1e6, "p99-ns")
-	b.ReportMetric(0.9, "recall-k10")
+	if benchgate.Race {
+		t.Skip("time bounds skip under the race detector")
+	}
+	res := benchgate.Best(t, 3, BenchmarkSearchScan100k, BenchmarkSearchLookup100k)
+	scan, lookup := res[0], res[1]
+	speedup := float64(scan.NsPerOp()) / float64(lookup.NsPerOp())
+	p99 := time.Duration(lookup.Extra["p99-ns"])
+	t.Logf("10^5: lookup %.0fx faster than scan, recall@10 %.4f, p99 %v", speedup, c.recall10(), p99)
+	if speedup < minSpeedup100k {
+		t.Errorf("lookup only %.1fx faster than the exact scan, want >= %dx", speedup, minSpeedup100k)
+	}
+	if p99 > maxP99100k {
+		t.Errorf("lookup p99 %v, want <= %v", p99, maxP99100k)
+	}
 }

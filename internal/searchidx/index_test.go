@@ -127,6 +127,36 @@ func TestIndexAddLookup(t *testing.T) {
 	}
 }
 
+// TestLookupManyIdenticalCopies stores one signature many times (an image
+// uploaded again and again) and checks the lookup still answers with the
+// first-added copies at distance 0 once its top-k fills at distance 0.
+func TestLookupManyIdenticalCopies(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ix := New()
+	for i := 0; i < 100; i++ {
+		ix.Add(fmt.Sprintf("other-%03d", i), randomSig(rng))
+	}
+	dup := randomSig(rng)
+	for i := 0; i < 500; i++ {
+		ix.Add(fmt.Sprintf("copy-%03d", i), dup)
+	}
+	for _, k := range []int{1, 3} {
+		for name, res := range map[string][]Result{
+			"Lookup":      ix.Lookup(dup, k),
+			"LookupPlain": ix.LookupPlain(dup, k),
+		} {
+			if len(res) != k {
+				t.Fatalf("%s k=%d: %d results, want %d", name, k, len(res), k)
+			}
+			for i, r := range res {
+				if want := fmt.Sprintf("copy-%03d", i); r.ID != want || r.Distance != 0 {
+					t.Fatalf("%s k=%d: result %d = %+v, want %s at distance 0", name, k, i, r, want)
+				}
+			}
+		}
+	}
+}
+
 func TestScanIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ix := New()
