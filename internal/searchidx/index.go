@@ -1,8 +1,6 @@
 package searchidx
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 	"sync"
 
@@ -312,46 +310,45 @@ type Result struct {
 // orientations, with non-identity orientations carrying orientationPrior
 // so a rotated interpretation only wins when it is clearly closer.
 func (ix *Index) Lookup(q Signature, k int) []Result {
-	return ix.lookup(&q, orientations, k)
+	vars := q.Variants()
+	return ix.lookup(vars[:], k)
 }
 
 // LookupPlain answers k-NN for the query's stored orientation only — the
 // like-for-like counterpart of Scan used by benchmarks and recall
 // measurement.
 func (ix *Index) LookupPlain(q Signature, k int) []Result {
-	return ix.lookup(&q, 1, k)
+	return ix.lookup([]Signature{q}, k)
 }
 
-// lookup gathers bucket candidates for the first n dihedral orientations of
-// q (all of them, or the identity alone) and re-ranks them exactly. Buckets
-// are disjoint per orientation (a stored signature lives in exactly one
-// bucket), so duplicates only arise across orientations and are merged by
-// keeping the minimum distance. When the probe phase yields no confident
-// match (best distance above escalateDistance) the lookup escalates to the
-// exact tier — a full SAD pass minimized over the query orientations —
-// trading the sublinear path for guaranteed-correct neighbors on heavily
-// transformed queries.
-func (ix *Index) lookup(q *Signature, n, k int) []Result {
+// lookup gathers bucket candidates for every query orientation and
+// re-ranks them exactly. Buckets are disjoint per orientation (a stored
+// signature lives in exactly one bucket), so duplicates only arise across
+// orientations and are merged by keeping the minimum distance. When the
+// probe phase yields no confident match (best distance above
+// escalateDistance) the lookup escalates to the exact tier — a full SAD
+// pass minimized over the query orientations — trading the sublinear path
+// for guaranteed-correct neighbors on heavily transformed queries.
+func (ix *Index) lookup(variants []Signature, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	top := ix.probePhase(q, n, k)
+	top := ix.probePhase(variants, k)
 	if len(top.res) == 0 || top.res[0].Distance > escalateDistance {
-		vars := q.Variants()
-		top = ix.exactPhase(vars[:n], k)
+		top = ix.exactPhase(variants, k)
 	}
 	return top.results()
 }
 
 // probePhase is the sublinear candidate tier of lookup. All segment read
 // locks are taken up front (candidates from one bucket span segments), then
-// each probed key costs a single directory access. An orientation is only
-// derived once the probe reaches it: an upload's dedup lookup usually ends
-// on an exact match under the identity. A candidate seen again under a
-// later orientation can only matter while it is still in the top-k, which
-// insertOrImprove checks.
-func (ix *Index) probePhase(q *Signature, n, k int) *topK {
+// each probed key costs a single directory access.
+func (ix *Index) probePhase(variants []Signature, k int) *topK {
 	top := newTopK(k)
+	var seen map[uint32]uint32
+	if len(variants) > 1 {
+		seen = make(map[uint32]uint32, 64)
+	}
 	for si := range ix.segs {
 		ix.segs[si].mu.RLock()
 	}
@@ -360,14 +357,13 @@ func (ix *Index) probePhase(q *Signature, n, k int) *topK {
 			ix.segs[si].mu.RUnlock()
 		}
 	}()
-	for vi := 0; vi < n; vi++ {
-		v := *q
+	for vi := range variants {
+		q := &variants[vi]
 		var prior uint32
 		if vi > 0 {
-			v = q.dihedral(vi)
 			prior = orientationPrior
 		}
-		for _, key := range probeKeys(&v) {
+		for _, key := range probeKeys(q) {
 			ds := ix.dirFor(key)
 			ds.mu.RLock()
 			for _, pk := range ds.buckets[key] {
@@ -387,12 +383,16 @@ func (ix *Index) probePhase(q *Signature, n, k int) *topK {
 					}
 					limit -= prior
 				}
-				d := sad64Early(sg.sigs, int(pos)*SigBytes, &v, limit)
+				d := sad64Early(sg.sigs, int(pos)*SigBytes, q, limit)
 				if d > limit {
 					continue
 				}
 				d += prior
-				if vi > 0 {
+				if seen != nil {
+					if prev, ok := seen[pk]; ok && prev <= d {
+						continue
+					}
+					seen[pk] = d
 					top.insertOrImprove(sg.ids[pos], d)
 					continue
 				}
@@ -480,7 +480,7 @@ func probeKeys(s *Signature) []uint32 {
 		mask uint32
 		cost int
 	}
-	flips := make([]flip, 0, keyCells)
+	var flips []flip
 	for c, v := range quads {
 		key |= level(v) << c
 		cost := v - levelThreshold
@@ -491,7 +491,7 @@ func probeKeys(s *Signature) []uint32 {
 			flips = append(flips, flip{1 << c, cost})
 		}
 	}
-	slices.SortFunc(flips, func(a, b flip) int { return cmp.Compare(a.cost, b.cost) })
+	sort.Slice(flips, func(i, j int) bool { return flips[i].cost < flips[j].cost })
 	keys := make([]uint32, 1, maxProbes)
 	keys[0] = key
 	for _, f := range flips {

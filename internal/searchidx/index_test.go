@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"puppies/internal/benchgate"
 )
 
 // randomSig draws a plausible post-normalization signature: cells around
@@ -154,6 +156,42 @@ func TestLookupManyIdenticalCopies(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// maxCopiesSlowdown bounds how much slower a lookup of a signature stored
+// manyCopies times may be than one stored fewCopies times. On a 2-vCPU
+// x86-64 host a lookup that scans every copy measured 86x slower at these
+// sizes, and one that stops at the first exact match 0.9-1.2x.
+const (
+	fewCopies         = 16
+	manyCopies        = 16384
+	maxCopiesSlowdown = 4
+)
+
+// TestLookupCostIndependentOfCopies holds the upload dedup lookup to a cost
+// that does not grow with the copies already stored: every upload runs
+// Lookup(sig, 1) first, so an image uploaded n times must not make the next
+// upload O(n). Best of three interleaved runs per side.
+func TestLookupCostIndependentOfCopies(t *testing.T) {
+	lookupWithCopies := func(copies int) func(*testing.B) {
+		ix := New()
+		sig := randomSig(rand.New(rand.NewSource(22)))
+		for i := 0; i < copies; i++ {
+			ix.Add(fmt.Sprintf("copy-%05d", i), sig)
+		}
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ix.Lookup(sig, 1)
+			}
+		}
+	}
+	res := benchgate.Best(t, 3, lookupWithCopies(fewCopies), lookupWithCopies(manyCopies))
+	few, many := res[0].NsPerOp(), res[1].NsPerOp()
+	slowdown := float64(many) / float64(few)
+	t.Logf("lookup of a signature stored %d times: %dns; %d times: %dns (%.2fx)", fewCopies, few, manyCopies, many, slowdown)
+	if slowdown > maxCopiesSlowdown {
+		t.Fatalf("lookup %.1fx slower with %d stored copies than with %d, want <= %dx", slowdown, manyCopies, fewCopies, maxCopiesSlowdown)
 	}
 }
 

@@ -412,15 +412,11 @@ func (s *Signature) dihedral(k int) Signature {
 	return out
 }
 
-// orientations is the size of the dihedral group: four rotations, each
-// optionally mirrored.
-const orientations = 8
-
 // Variants returns all eight dihedral orientations of the signature,
 // identity first.
-func (s *Signature) Variants() [orientations]Signature {
-	var out [orientations]Signature
-	for k := 0; k < orientations; k++ {
+func (s *Signature) Variants() [8]Signature {
+	var out [8]Signature
+	for k := 0; k < 8; k++ {
 		out[k] = s.dihedral(k)
 	}
 	return out
