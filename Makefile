@@ -22,12 +22,13 @@ test:
 # wrapper, batch reader), the parallel-pipeline determinism suite, the
 # reduced-IDCT kernels and transform planner (parallel scaled decode +
 # worker-count determinism), the restart-segment and scaled-decode
-# parallel plane fills, and the allocation and coefficient-byte bounds
+# parallel plane fills, the encoder's parallel nonzero-mask pass (reference
+# walk and range rejection), and the allocation and coefficient-byte bounds
 # under -race.
 race:
 	$(GO) test -race -count=1 ./internal/psp/... ./internal/servecache/... ./internal/faults/... ./internal/blobstore/... ./internal/cluster/... ./internal/admission/... ./internal/spine/... ./internal/stats/... ./internal/loadgen/... ./internal/searchidx/... ./internal/dct/... ./internal/transform/... ./cmd/pspd/... ./cmd/pspgw/...
 	$(GO) test -race -count=1 -run 'TestParallelDeterminism|TestProtectRecoverAllocBudget' .
-	$(GO) test -race -count=1 -run 'TestRestart|TestToPlanarScaled|TestNative420CoeffBytes' ./internal/jpegc
+	$(GO) test -race -count=1 -run 'TestRestart|TestToPlanarScaled|TestNative420CoeffBytes|TestEncodeMatchesReferenceWalk|TestEncodeRejectsOutOfRangeCoefficients' ./internal/jpegc
 
 # cluster-e2e runs the full crash/partition e2e on its own: a real 3-shard
 # cluster behind the gateway, one shard SIGKILLed mid-traffic, an asymmetric
@@ -55,6 +56,7 @@ cluster-demo: build
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/jpegc
+	$(GO) test -run '^$$' -fuzz '^FuzzForwardQuantized$$' -fuzztime $(FUZZTIME) ./internal/dct
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePublicData$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime $(FUZZTIME) ./internal/blobstore
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime $(FUZZTIME) ./internal/transform
@@ -68,18 +70,23 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# profile captures CPU and allocation pprof profiles of the two hot paths —
-# the protect/recover pipeline (paper Table 1 workload) and the streaming
-# batch upload route — and prints the CPU top for each. Inspect further with
-#   go tool pprof $(PROFILE_DIR)/protect.cpu.prof
+# profile captures CPU and allocation pprof profiles of the hot paths —
+# the protect/recover pipeline (paper Table 1 workload), one op of
+# perfbench's share workload (Protect + UnprotectJPEG on Caltech renders)
+# and the streaming batch upload route — and prints the CPU top for each.
+# Inspect further with
+#   go tool pprof $(PROFILE_DIR)/share.cpu.prof
 PROFILE_DIR ?= profiles
 profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'BenchmarkTable1Capabilities' -benchtime 2s \
 		-cpuprofile $(PROFILE_DIR)/protect.cpu.prof -memprofile $(PROFILE_DIR)/protect.mem.prof .
+	$(GO) test -run '^$$' -bench 'BenchmarkShareOp$$' -benchtime 2s \
+		-cpuprofile $(PROFILE_DIR)/share.cpu.prof -memprofile $(PROFILE_DIR)/share.mem.prof .
 	$(GO) test -run '^$$' -bench 'BenchmarkUploadBatch$$' -benchtime 2s \
 		-cpuprofile $(PROFILE_DIR)/batch.cpu.prof -memprofile $(PROFILE_DIR)/batch.mem.prof ./internal/psp/
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/protect.cpu.prof
+	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/share.cpu.prof
 	$(GO) tool pprof -top -nodecount 15 $(PROFILE_DIR)/batch.cpu.prof
 
 fmt:

@@ -16,8 +16,10 @@ import (
 
 	"puppies"
 	"puppies/internal/benchgate"
+	"puppies/internal/dataset"
 	"puppies/internal/experiments"
 	"puppies/internal/keys"
+	"puppies/internal/roi"
 	"puppies/internal/transform"
 )
 
@@ -309,6 +311,57 @@ func BenchmarkProtectRecoverPerMP(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := puppies.UnprotectJPEG(p.JPEG, p.Params, p.Keys); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkShareOp is one op of perfbench's share workload: the sender's
+// Protect (variant Z, the render's aligned face regions, one deterministic
+// key pair per region) and the receiver's UnprotectJPEG, cycling over the
+// first Caltech face renders of seed 1. `make profile` profiles it.
+func BenchmarkShareOp(b *testing.B) {
+	type shareInput struct {
+		src     image.Image
+		regions []puppies.Rect
+		keys    []*puppies.KeyPair
+	}
+	const seed, renders = 1, 4
+	g, err := dataset.NewGenerator(dataset.Caltech, seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var inputs []shareInput
+	for idx := 0; len(inputs) < renders && idx < 20*renders; idx++ {
+		item := g.Item(idx)
+		var rects []puppies.Rect
+		for _, a := range item.Annotations {
+			if a.Class == dataset.ClassFace {
+				rects = append(rects, puppies.Rect{X: a.X, Y: a.Y, W: a.W, H: a.H})
+			}
+		}
+		rects = roi.AlignAll(rects, dataset.Caltech.W, dataset.Caltech.H)
+		if len(rects) == 0 {
+			continue
+		}
+		in := shareInput{src: item.Image.Quantize8().ToStdImage(), regions: rects}
+		for j := range rects {
+			in.keys = append(in.keys, keys.NewPairDeterministic(seed*1_000_000+int64(idx)*16+int64(j)))
+		}
+		inputs = append(inputs, in)
+	}
+	if len(inputs) == 0 {
+		b.Fatal("no Caltech render with a face")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in := &inputs[i%len(inputs)]
+		p, err := puppies.Protect(in.src, puppies.ProtectOptions{Variant: puppies.VariantZ, Regions: in.regions, Keys: in.keys})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := puppies.UnprotectJPEG(p.JPEG, p.Params, in.keys); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,9 +17,10 @@ import "math"
 //
 // ForwardReference/InverseReference (transform.go) remain the equivalence
 // oracle; TestFastForwardMatchesReference and friends pin the fast kernel
-// to it, and quantizeFolded falls back to the reference basis for the rare
-// coefficients that land within epsilon of a rounding boundary, making the
-// quantized fast path bit-identical to the reference path by construction.
+// to it, and ForwardQuantizer falls back to the reference basis for the
+// rare coefficients that land within epsilon of a rounding boundary, making
+// the quantized fast path bit-identical to the reference path by
+// construction.
 
 // AAN butterfly constants (cosines at multiples of pi/16).
 const (
@@ -29,7 +30,7 @@ const (
 	aanC6     = 0.38268343236508977173 // cos(6*pi/16)
 	aanSqrt2  = 1.41421356237309504880 // sqrt(2)
 	aan2C2    = 1.84775906502257351226 // 2*cos(2*pi/16)
-	aanC2mC6i = 1.08239220029239396880 // cos(6*pi/16)*2 / ... (2*(c2-c6)) wait: see below
+	aanC2mC6i = 1.08239220029239396880 // 2*(cos(2*pi/16) - cos(6*pi/16))
 	aanC2pC6i = 2.61312592975275305571 // 2*(cos(2*pi/16)+cos(6*pi/16))
 )
 
@@ -226,7 +227,7 @@ func idctAAN(d *FloatBlock) {
 }
 
 // quantBoundaryEps is the distance from a round-half boundary below which
-// quantizeFolded defers to the reference basis. The fast and reference
+// ForwardQuantizer defers to the reference basis. The fast and reference
 // paths compute the same mathematical value to ~1e-11 absolute error over
 // the JPEG input domain, so any disagreement in rounding requires the
 // scaled value to sit within that distance of a boundary — far inside this
@@ -249,23 +250,47 @@ func refCoefficient(spatial *FloatBlock, v, c int) float64 {
 	return sum * alpha[v] / 2
 }
 
-// quantizeFolded rounds scaled butterfly outputs through folded
-// scale-and-quantize multipliers, deferring to the reference basis near
-// rounding boundaries.
-func quantizeFolded(scaled, spatial *FloatBlock, q *QuantTable) Block {
-	var out Block
-	for i := 0; i < BlockLen; i++ {
-		p := scaled[i] * forwardScale[i] / float64(q[i])
-		if frac := math.Abs(p) + 0.5; math.Abs(frac-math.Round(frac)) < quantBoundaryEps {
-			p = refCoefficient(spatial, i/BlockSize, i%BlockSize) / float64(q[i])
-		}
-		v := int32(math.Round(p))
-		if v < CoeffMin {
-			v = CoeffMin
-		} else if v > CoeffMax {
-			v = CoeffMax
-		}
-		out[i] = v
+// ForwardQuantizer is the forward DCT plus quantization for one table. It
+// holds the table's folded multipliers forwardScale[i]/q[i], computed once,
+// so quantizing a coefficient costs one multiply instead of a divide.
+type ForwardQuantizer struct {
+	q    QuantTable
+	mult [BlockLen]float64
+}
+
+// NewForwardQuantizer prepares the folded multipliers of table q.
+func NewForwardQuantizer(q *QuantTable) ForwardQuantizer {
+	fq := ForwardQuantizer{q: *q}
+	for i := range fq.mult {
+		fq.mult[i] = forwardScale[i] / float64(q[i])
 	}
-	return out
+	return fq
+}
+
+// Quantize runs the AAN butterfly on spatial and writes to dst each scaled
+// output rounded to the nearest integer, half away from zero, and clamped
+// to the JPEG coefficient range. dst is bit-identical to
+// Quantize(ForwardReference(spatial), q).
+//
+// Natural blocks are sparse (most quantized ACs are zero, with float noise
+// of either sign), so the rounding has no data-dependent branch: it
+// truncates |p|+0.5 and puts the sign of p back with an xor/add. The one
+// branch left, the boundary test on the fraction of |p|+0.5, is almost
+// never taken; when it is, the coefficient is recomputed with the
+// reference operation order.
+func (fq *ForwardQuantizer) Quantize(dst *Block, spatial *FloatBlock) {
+	scaled := *spatial
+	fdctAAN(&scaled)
+	for i := 0; i < BlockLen; i++ {
+		p := scaled[i] * fq.mult[i]
+		a := math.Abs(p) + 0.5
+		m := int32(a)
+		if d := a - float64(m); d < quantBoundaryEps || d > 1-quantBoundaryEps {
+			m = int32(math.Round(refCoefficient(spatial, i/BlockSize, i%BlockSize) / float64(fq.q[i])))
+		} else {
+			s := int32(math.Float64bits(p) >> 63)
+			m = (m ^ -s) + s
+		}
+		dst[i] = min(max(m, CoeffMin), CoeffMax)
+	}
 }

@@ -1,6 +1,7 @@
 package dct
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,6 +129,42 @@ func TestFastForwardQuantizedBitIdenticalFlatBlocks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzForwardQuantized holds the prepared quantizer to the reference path
+// on fuzzed 8-bit blocks (level-shifted integer pixels, as 8-bit renders
+// produce) at every quality of both standard tables. The seeds are the
+// flat odd-valued blocks, whose DC lands on or next to a round-half
+// boundary; without the boundary fallback some of them round apart.
+func FuzzForwardQuantized(f *testing.F) {
+	for v := 1; v < 256; v += 2 {
+		for _, quality := range []uint8{10, 50, 90} {
+			f.Add(bytes.Repeat([]byte{byte(v)}, BlockLen), quality, false)
+			f.Add(bytes.Repeat([]byte{byte(v)}, BlockLen), quality, true)
+		}
+	}
+	f.Fuzz(func(t *testing.T, pix []byte, quality uint8, chroma bool) {
+		if len(pix) < BlockLen {
+			t.Skip("fewer than 64 pixels")
+		}
+		var in FloatBlock
+		for i := range in {
+			in[i] = float64(pix[i]) - 128
+		}
+		base := &StdLuminanceQuant
+		if chroma {
+			base = &StdChrominanceQuant
+		}
+		q, err := base.ScaleQuality(1 + int(quality)%100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast := ForwardQuantized(&in, &q)
+		ref := ForwardQuantizedReference(&in, &q)
+		if fast != ref {
+			t.Fatalf("quantized mismatch:\nfast:\n%sref:\n%s", fast.String(), ref.String())
+		}
+	})
 }
 
 func TestFastInverseQuantizedMatchesReference(t *testing.T) {

@@ -98,14 +98,15 @@ func InverseReference(coeff *FloatBlock) FloatBlock {
 }
 
 // ForwardQuantized performs forward DCT followed by quantization with the
-// given table, producing a JPEG-range coefficient block. It runs the AAN
-// butterfly with the scale factors folded into the quantization step and is
-// bit-identical to Quantize(ForwardReference(spatial), q) over the JPEG
-// coefficient range (see quantizeFolded).
+// given table, producing a JPEG-range coefficient block bit-identical to
+// Quantize(ForwardReference(spatial), q). It prepares the table on every
+// call; a caller quantizing many blocks with one table holds a
+// ForwardQuantizer instead.
 func ForwardQuantized(spatial *FloatBlock, q *QuantTable) Block {
-	scaled := *spatial
-	fdctAAN(&scaled)
-	return quantizeFolded(&scaled, spatial, q)
+	fq := NewForwardQuantizer(q)
+	var out Block
+	fq.Quantize(&out, spatial)
+	return out
 }
 
 // ForwardQuantizedReference is the pre-AAN quantizing path (reference DCT

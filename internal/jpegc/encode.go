@@ -3,6 +3,8 @@ package jpegc
 import (
 	"fmt"
 	"io"
+	"math/bits"
+	"sync/atomic"
 
 	"puppies/internal/dct"
 	"puppies/internal/parallel"
@@ -54,7 +56,13 @@ func (m *Image) Encode(w io.Writer, opts EncodeOptions) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	if err := m.validateCoefficientRanges(); err != nil {
+	if opts.RestartInterval < 0 || opts.RestartInterval > 0xffff {
+		return fmt.Errorf("jpegc: restart interval %d out of range [0, 65535]", opts.RestartInterval)
+	}
+	slab := getMaskSlab(m.blockCount())
+	defer putMaskSlab(slab)
+	masks, err := m.nonzeroMasks(slab)
+	if err != nil {
 		return err
 	}
 
@@ -66,8 +74,7 @@ func (m *Image) Encode(w io.Writer, opts EncodeOptions) error {
 			dcChrom: StdDCChrominance, acChrom: StdACChrominance,
 		}
 	case TablesOptimized:
-		var err error
-		tables, err = m.gatherOptimalTables()
+		tables, err = m.gatherOptimalTables(&masks, opts.RestartInterval)
 		if err != nil {
 			return err
 		}
@@ -75,16 +82,13 @@ func (m *Image) Encode(w io.Writer, opts EncodeOptions) error {
 		return fmt.Errorf("jpegc: unknown table mode %d", opts.Tables)
 	}
 
-	if opts.RestartInterval < 0 || opts.RestartInterval > 0xffff {
-		return fmt.Errorf("jpegc: restart interval %d out of range [0, 65535]", opts.RestartInterval)
-	}
 	if err := writeMarkers(w, m, &tables, opts.RestartInterval); err != nil {
 		return err
 	}
-	if err := m.writeScan(w, &tables, opts.RestartInterval); err != nil {
+	if err := m.writeScan(w, &tables, &masks, opts.RestartInterval); err != nil {
 		return err
 	}
-	_, err := w.Write([]byte{0xff, markerEOI})
+	_, err = w.Write([]byte{0xff, markerEOI})
 	return err
 }
 
@@ -98,6 +102,80 @@ func (m *Image) EncodedSize(opts EncodeOptions) (int64, error) {
 	return cw.n, nil
 }
 
+// blockMasks holds, per component, each stored block's zigzag nonzero-AC
+// mask: bit zz is set when the AC coefficient at zigzag position zz
+// (1..63) is nonzero. Bit 0 is never set.
+type blockMasks [3][]uint64
+
+// maskGrain is the number of blocks per chunk of the parallel mask pass.
+const maskGrain = 1024
+
+// blockCount returns the number of stored blocks across components.
+func (m *Image) blockCount() int {
+	n := 0
+	for ci := range m.Comps {
+		n += len(m.Comps[ci].Blocks)
+	}
+	return n
+}
+
+// nonzeroMasks range-checks every stored block and records its nonzero-AC
+// mask into slab (blockCount entries), in one parallel pass over the
+// blocks of all components. The symbol-statistics and emit walks then
+// visit only the set bits. On an out-of-range coefficient it returns
+// validateCoefficientRanges' error.
+func (m *Image) nonzeroMasks(slab []uint64) (blockMasks, error) {
+	var masks blockMasks
+	n := 0
+	for ci := range m.Comps {
+		masks[ci] = slab[n : n+len(m.Comps[ci].Blocks)]
+		n += len(m.Comps[ci].Blocks)
+	}
+	var bad atomic.Bool
+	parallel.For(n, maskGrain, func(lo, hi int) {
+		// Map the chunk [lo, hi) of the concatenated block index onto
+		// each component's blocks.
+		base := 0
+		for ci := range m.Comps {
+			blocks := m.Comps[ci].Blocks
+			a, z := max(lo-base, 0), min(hi-base, len(blocks))
+			if a < z && !maskBlocks(blocks[a:z], masks[ci][a:z]) {
+				bad.Store(true)
+			}
+			base += len(blocks)
+		}
+	})
+	if bad.Load() {
+		return masks, m.validateCoefficientRanges()
+	}
+	return masks, nil
+}
+
+// maskBlocks writes each block's nonzero-AC mask into dst and reports
+// whether every coefficient is in range. Natural blocks are mostly zero
+// ACs in no predictable pattern, so neither the mask nor the range check
+// branches on a coefficient: the range check keeps running minima and
+// maxima and tests them once at the end.
+func maskBlocks(blocks []dct.Block, dst []uint64) bool {
+	var dcLo, dcHi, acLo, acHi int32
+	for bi := range blocks {
+		b := &blocks[bi]
+		dcLo, dcHi = min(dcLo, b[0]), max(dcHi, b[0])
+		var mask uint64
+		for zz := 1; zz < dct.BlockLen; zz++ {
+			v := b[dct.ZigZag[zz]&(dct.BlockLen-1)]
+			acLo, acHi = min(acLo, v), max(acHi, v)
+			// v|-v has its sign bit set exactly when v != 0.
+			mask |= uint64(uint32(v|-v)>>31) << zz
+		}
+		dst[bi] = mask
+	}
+	return dcLo >= dct.CoeffMin && dcHi <= dct.CoeffMax && acLo >= ACMin && acHi <= dct.CoeffMax
+}
+
+// validateCoefficientRanges reports the first out-of-range coefficient in
+// component and block order. Encode calls it only once nonzeroMasks has
+// found one.
 func (m *Image) validateCoefficientRanges() error {
 	for ci := range m.Comps {
 		for bi := range m.Comps[ci].Blocks {
@@ -230,12 +308,14 @@ func writeMarkers(w io.Writer, m *Image, tables *tableSet, restartInterval int) 
 	return writeSegment(w, markerSOS, sos)
 }
 
-// encodeBlock entropy-codes one block given its DC predictor, returning
-// the new predictor value. Each Huffman code is packed together with its
-// magnitude bits into a single WriteBits call (at most 16+11 = 27 bits).
-// countBlock must emit the identical symbol stream — the two walks are
-// deliberately parallel; TestEncodeOptimizedRoundTrip breaks if they drift.
-func encodeBlock(bw *bitWriter, b *dct.Block, pred int32, dcT, acT *encTable) (int32, error) {
+// encodeBlock entropy-codes one block given its DC predictor and its
+// nonzero-AC mask, returning the new predictor value. Each Huffman code is
+// packed together with its magnitude bits into a single WriteBits call (at
+// most 16+11 = 27 bits). The AC walk visits only the mask's set bits; the
+// zero run before each is the gap between consecutive set bits. countBlock
+// must emit the identical symbol stream — the two walks are deliberately
+// parallel; TestEncodeMatchesReferenceWalk holds both to the scalar walk.
+func encodeBlock(bw *bitWriter, b *dct.Block, mask uint64, pred int32, dcT, acT *encTable) (int32, error) {
 	diff := b[0] - pred
 	cat := magnitudeCategory(diff)
 	if dcT.size[cat] == 0 {
@@ -243,29 +323,26 @@ func encodeBlock(bw *bitWriter, b *dct.Block, pred int32, dcT, acT *encTable) (i
 	}
 	bw.WriteBits(dcT.code[cat]<<cat|magnitudeBits(diff, cat), uint(dcT.size[cat])+uint(cat))
 
-	run := 0
-	for zz := 1; zz < dct.BlockLen; zz++ {
-		v := b[dct.ZigZag[zz]]
-		if v == 0 {
-			run++
-			continue
-		}
-		for run > 15 {
+	last := 0
+	for ; mask != 0; mask &= mask - 1 {
+		zz := bits.TrailingZeros64(mask)
+		run := zz - last - 1
+		for ; run > 15; run -= 16 {
 			if acT.size[0xf0] == 0 {
 				return 0, fmt.Errorf("jpegc: AC symbol %#x has no huffman code", 0xf0)
 			}
 			bw.WriteBits(acT.code[0xf0], uint(acT.size[0xf0])) // ZRL
-			run -= 16
 		}
+		v := b[dct.ZigZag[zz]]
 		size := magnitudeCategory(v)
 		sym := byte(run<<4 | size)
 		if acT.size[sym] == 0 {
 			return 0, fmt.Errorf("jpegc: AC symbol %#x has no huffman code", sym)
 		}
 		bw.WriteBits(acT.code[sym]<<size|magnitudeBits(v, size), uint(acT.size[sym])+uint(size))
-		run = 0
+		last = zz
 	}
-	if run > 0 {
+	if last < dct.BlockLen-1 {
 		if acT.size[0x00] == 0 {
 			return 0, fmt.Errorf("jpegc: AC symbol %#x has no huffman code", 0x00)
 		}
@@ -277,26 +354,20 @@ func encodeBlock(bw *bitWriter, b *dct.Block, pred int32, dcT, acT *encTable) (i
 // countBlock walks one block exactly like encodeBlock but accumulates
 // symbol frequencies instead of emitting bits (the statistics pass of the
 // optimized-tables mode), returning the new DC predictor.
-func countBlock(b *dct.Block, pred int32, dc, ac *[256]int64) int32 {
-	diff := b[0] - pred
-	dc[magnitudeCategory(diff)]++
+func countBlock(b *dct.Block, mask uint64, pred int32, dc, ac *[256]int64) int32 {
+	dc[magnitudeCategory(b[0]-pred)]++
 
-	run := 0
-	for zz := 1; zz < dct.BlockLen; zz++ {
-		v := b[dct.ZigZag[zz]]
-		if v == 0 {
-			run++
-			continue
-		}
-		for run > 15 {
+	last := 0
+	for ; mask != 0; mask &= mask - 1 {
+		zz := bits.TrailingZeros64(mask)
+		run := zz - last - 1
+		for ; run > 15; run -= 16 {
 			ac[0xf0]++ // ZRL
-			run -= 16
 		}
-		size := magnitudeCategory(v)
-		ac[byte(run<<4|size)]++
-		run = 0
+		ac[byte(run<<4|magnitudeCategory(b[dct.ZigZag[zz]]))]++
+		last = zz
 	}
-	if run > 0 {
+	if last < dct.BlockLen-1 {
 		ac[0x00]++ // EOB
 	}
 	return b[0]
@@ -316,29 +387,25 @@ func (m *Image) mcuGrid() (mcusX, mcusY int) {
 	return mcusX, mcusY
 }
 
-// clampedBlock returns the block at (bx, by), replicating the nearest edge
-// block for coordinates in the MCU padding margin outside the nominal grid
-// (the scan walks whole MCUs, the grid stores only nominal blocks).
-func (c *Component) clampedBlock(bx, by int) *dct.Block {
-	if bx >= c.BlocksW {
-		bx = c.BlocksW - 1
-	}
-	if by >= c.BlocksH {
-		by = c.BlocksH - 1
-	}
-	return &c.Blocks[by*c.BlocksW+bx]
+// clampedIndex returns the index in Blocks of the block at (bx, by),
+// replicating the nearest edge block for coordinates in the MCU padding
+// margin outside the nominal grid (the scan walks whole MCUs, the grid
+// stores only nominal blocks).
+func (c *Component) clampedIndex(bx, by int) int {
+	return min(by, c.BlocksH-1)*c.BlocksW + min(bx, c.BlocksW-1)
 }
 
-func (m *Image) gatherOptimalTables() (tableSet, error) {
+func (m *Image) gatherOptimalTables(masks *blockMasks, restartInterval int) (tableSet, error) {
 	// The statistics pass is embarrassingly parallel: the DC symbol of MCU
 	// i depends only on the stored DC of MCU i-1 (the predictor is the
-	// previous block's coefficient, not an encoder-state value), so each
-	// chunk seeds its predictors from the last block its component emits in
-	// the MCU just before it. Histograms are integer counts, so merging
-	// per-chunk partials is exact and order-independent. The per-chunk
-	// histograms (8 KiB each) come from a pool and go back after the merge.
-	// The walk must count the identical symbol stream writeScan emits,
-	// replicated MCU-padding blocks included.
+	// previous block's coefficient, not an encoder-state value), or on
+	// zero when MCU i starts a restart interval, so each chunk seeds its
+	// predictors from the last block its component emits in the MCU just
+	// before it. Histograms are integer counts, so merging per-chunk
+	// partials is exact and order-independent. The per-chunk histograms
+	// (8 KiB each) come from a pool and go back after the merge. The walk
+	// must count the identical symbol stream writeScan emits, replicated
+	// MCU-padding blocks and restart resets included.
 	mcusX, mcusY := m.mcuGrid()
 	nMCU := mcusX * mcusY
 	parts := parallel.Map(nMCU, histGrain, func(lo, hi int) *symbolHist {
@@ -347,21 +414,27 @@ func (m *Image) gatherOptimalTables() (tableSet, error) {
 		if lo > 0 {
 			pmx, pmy := (lo-1)%mcusX, (lo-1)/mcusX
 			for ci := range m.Comps {
-				hs, vs := m.Comps[ci].Sampling()
-				pred[ci] = m.Comps[ci].clampedBlock(pmx*hs+hs-1, pmy*vs+vs-1)[0]
+				c := &m.Comps[ci]
+				hs, vs := c.Sampling()
+				pred[ci] = c.Blocks[c.clampedIndex(pmx*hs+hs-1, pmy*vs+vs-1)][0]
 			}
 		}
 		for mcu := lo; mcu < hi; mcu++ {
+			if restartInterval > 0 && mcu%restartInterval == 0 {
+				pred = [4]int32{}
+			}
 			mx, my := mcu%mcusX, mcu/mcusX
 			for ci := range m.Comps {
 				ti := 0
 				if ci > 0 {
 					ti = 1
 				}
-				hs, vs := m.Comps[ci].Sampling()
+				c := &m.Comps[ci]
+				hs, vs := c.Sampling()
 				for v := 0; v < vs; v++ {
 					for hh := 0; hh < hs; hh++ {
-						pred[ci] = countBlock(m.Comps[ci].clampedBlock(mx*hs+hh, my*vs+v), pred[ci], &h.dc[ti], &h.ac[ti])
+						i := c.clampedIndex(mx*hs+hh, my*vs+v)
+						pred[ci] = countBlock(&c.Blocks[i], masks[ci][i], pred[ci], &h.dc[ti], &h.ac[ti])
 					}
 				}
 			}
@@ -398,7 +471,7 @@ func (m *Image) gatherOptimalTables() (tableSet, error) {
 	return ts, nil
 }
 
-func (m *Image) writeScan(w io.Writer, tables *tableSet, restartInterval int) error {
+func (m *Image) writeScan(w io.Writer, tables *tableSet, masks *blockMasks, restartInterval int) error {
 	dcEnc := make([]*encTable, 2)
 	acEnc := make([]*encTable, 2)
 	var err error
@@ -437,10 +510,12 @@ func (m *Image) writeScan(w io.Writer, tables *tableSet, restartInterval int) er
 				if ci > 0 {
 					ti = 1
 				}
-				hs, vs := m.Comps[ci].Sampling()
+				c := &m.Comps[ci]
+				hs, vs := c.Sampling()
 				for v := 0; v < vs; v++ {
 					for h := 0; h < hs; h++ {
-						next, err := encodeBlock(bw, m.Comps[ci].clampedBlock(mx*hs+h, my*vs+v), pred[ci], dcEnc[ti], acEnc[ti])
+						i := c.clampedIndex(mx*hs+h, my*vs+v)
+						next, err := encodeBlock(bw, &c.Blocks[i], masks[ci][i], pred[ci], dcEnc[ti], acEnc[ti])
 						if err != nil {
 							bw.setErr(err)
 							return bw.Flush()

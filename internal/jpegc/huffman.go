@@ -2,6 +2,7 @@ package jpegc
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -322,25 +323,15 @@ func BuildOptimalSpec(freq *[256]int64) (HuffmanSpec, error) {
 // magnitudeCategory returns the JPEG size category of v: the number of bits
 // needed to represent |v| (0 for v == 0).
 func magnitudeCategory(v int32) int {
-	if v < 0 {
-		v = -v
-	}
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
+	s := v >> 31
+	return bits.Len32(uint32((v ^ s) - s))
 }
 
 // magnitudeBits returns the SSSS magnitude bits for value v in category size
 // per JPEG's convention: nonnegative values are emitted as-is; negative
 // values as v-1 truncated to size bits (one's complement of |v|).
 func magnitudeBits(v int32, size int) uint32 {
-	if v < 0 {
-		v--
-	}
-	return uint32(v) & ((1 << size) - 1)
+	return uint32(v+v>>31) & ((1 << size) - 1)
 }
 
 // extendMagnitude inverts magnitudeBits: reconstructs the signed value from

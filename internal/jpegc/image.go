@@ -271,6 +271,9 @@ func componentFromPlane(p *imgplane.Plane, q *dct.QuantTable) (Component, error)
 		Blocks:  make([]dct.Block, bw*bh),
 		Quant:   *q,
 	}
+	fq := dct.NewForwardQuantizer(q)
+	// Blocks left of innerW and above innerH lie wholly inside the plane.
+	innerW, innerH := p.W/dct.BlockSize, p.H/dct.BlockSize
 	// Block rows are independent: each worker owns its own scratch block
 	// and writes a disjoint slice of comp.Blocks, so output is identical
 	// at any worker count.
@@ -278,15 +281,25 @@ func componentFromPlane(p *imgplane.Plane, q *dct.QuantTable) (Component, error)
 		var spatial dct.FloatBlock
 		for by := lo; by < hi; by++ {
 			for bx := 0; bx < bw; bx++ {
-				for y := 0; y < dct.BlockSize; y++ {
-					for x := 0; x < dct.BlockSize; x++ {
-						// Plane.At replicates edges, which pads partial blocks.
-						spatial[y*dct.BlockSize+x] = float64(p.At(bx*dct.BlockSize+x, by*dct.BlockSize+y)) - 128
+				if bx < innerW && by < innerH {
+					for y := 0; y < dct.BlockSize; y++ {
+						row := p.Pix[(by*dct.BlockSize+y)*p.W+bx*dct.BlockSize:][:dct.BlockSize]
+						dst := spatial[y*dct.BlockSize:][:dct.BlockSize]
+						for x, v := range row {
+							dst[x] = float64(v) - 128
+						}
+					}
+				} else {
+					for y := 0; y < dct.BlockSize; y++ {
+						for x := 0; x < dct.BlockSize; x++ {
+							// Plane.At replicates edges, which pads partial blocks.
+							spatial[y*dct.BlockSize+x] = float64(p.At(bx*dct.BlockSize+x, by*dct.BlockSize+y)) - 128
+						}
 					}
 				}
-				b := dct.ForwardQuantized(&spatial, q)
-				clampBaselineAC(&b)
-				comp.Blocks[by*bw+bx] = b
+				b := &comp.Blocks[by*bw+bx]
+				fq.Quantize(b, &spatial)
+				clampBaselineAC(b)
 			}
 		}
 	})
@@ -297,9 +310,7 @@ func componentFromPlane(p *imgplane.Plane, q *dct.QuantTable) (Component, error)
 // range [-1023, 1023].
 func clampBaselineAC(b *dct.Block) {
 	for i := 1; i < dct.BlockLen; i++ {
-		if b[i] < ACMin {
-			b[i] = ACMin
-		}
+		b[i] = max(b[i], ACMin)
 	}
 }
 

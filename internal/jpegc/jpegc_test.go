@@ -2,11 +2,13 @@ package jpegc
 
 import (
 	"bytes"
+	"fmt"
 	"image"
 	"image/color"
 	"image/jpeg"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -285,6 +287,27 @@ func TestEncodeRejectsOutOfRangeCoefficients(t *testing.T) {
 	img.Comps[0].Blocks[0][0] = 2000
 	if err := img.Encode(&buf, EncodeOptions{}); err == nil {
 		t.Error("Encode accepted DC coefficient 2000")
+	}
+
+	// AC -1024 at every zigzag position of a block deep in an image of
+	// several mask chunks: the parallel pass must catch it wherever it
+	// sits, and the error must name the first offending block.
+	img = randomCoeffImage(rng, 300, 300, 3)
+	if n := img.blockCount(); n <= maskGrain {
+		t.Fatalf("image has %d blocks, want more than one mask chunk (%d)", n, maskGrain)
+	}
+	const bi = 1000
+	img.Comps[2].Blocks[bi+1][dct.ZigZag[9]] = -1024 // a later offender
+	for zz := 1; zz < dct.BlockLen; zz++ {
+		b := &img.Comps[2].Blocks[bi]
+		saved := *b
+		b[dct.ZigZag[zz]] = -1024
+		err := img.Encode(&buf, EncodeOptions{Tables: TablesOptimized})
+		want := fmt.Sprintf("component 2 block %d AC[%d] -1024 out of range", bi, dct.ZigZag[zz])
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("zigzag %d: got error %v, want one containing %q", zz, err, want)
+		}
+		*b = saved
 	}
 }
 

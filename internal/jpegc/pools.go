@@ -65,6 +65,31 @@ func putBlockSlab(s []dct.Block) {
 	blockSlabPool.Put(&s)
 }
 
+// maskSlabPool recycles the encoder's per-block nonzero-AC masks (one
+// uint64 per stored block), like blockSlabPool does for coefficient grids.
+var maskSlabPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// getMaskSlab returns a zeroed slab of n masks, reusing pooled storage when
+// a large enough slab is available.
+func getMaskSlab(n int) []uint64 {
+	s := *maskSlabPool.Get().(*[]uint64)
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// putMaskSlab recycles a slab obtained from getMaskSlab.
+func putMaskSlab(s []uint64) {
+	if cap(s) == 0 {
+		return
+	}
+	s = s[:0]
+	maskSlabPool.Put(&s)
+}
+
 // symbolHist accumulates DC and AC symbol frequencies for one table pair
 // (index 0 = luminance, 1 = chrominance) during the optimized-tables
 // statistics pass.

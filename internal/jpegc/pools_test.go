@@ -48,6 +48,23 @@ func TestPoolsResetPoisonedBuffers(t *testing.T) {
 		}
 		putHist(got)
 	}
+
+	// Mask slabs: poison every mask, recycle, and check the next Get of a
+	// smaller slab is zeroed.
+	m := getMaskSlab(64)
+	for i := range m {
+		m[i] = ^uint64(0)
+	}
+	putMaskSlab(m)
+	for i := 0; i < 4; i++ {
+		got := getMaskSlab(32)
+		for j, v := range got {
+			if v != 0 {
+				t.Fatalf("recycled mask slab not zeroed: mask %d = %#x", j, v)
+			}
+		}
+		putMaskSlab(got)
+	}
 }
 
 // TestPoolsConcurrentReuse hammers the byte-buffer pool from several

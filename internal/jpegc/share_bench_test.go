@@ -1,0 +1,103 @@
+package jpegc
+
+import (
+	"bytes"
+	"testing"
+
+	"puppies/internal/dataset"
+	"puppies/internal/dct"
+	"puppies/internal/imgplane"
+)
+
+// The *Share benchmarks run the codec kernels on the input of perfbench's
+// share workload: the first 896x592 Caltech face render of seed 1, 8-bit
+// quantized and imported the way puppies.Protect imports it, at the default
+// quality. Their ns/op therefore add up against that workload's per-layer
+// trace, unlike the random-coefficient benchmarks, whose dense blocks hide
+// the cost of the sparse ones natural images produce.
+
+// shareRender returns the share workload's first render as planar YUV.
+func shareRender(tb testing.TB) *imgplane.Image {
+	tb.Helper()
+	g, err := dataset.NewGenerator(dataset.Caltech, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for idx := 0; idx < 100; idx++ {
+		item := g.Item(idx)
+		for _, a := range item.Annotations {
+			if a.Class != dataset.ClassFace {
+				continue
+			}
+			planar, err := imgplane.FromStdImage(item.Image.Quantize8().ToStdImage())
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return planar
+		}
+	}
+	tb.Fatal("no Caltech render with a face")
+	return nil
+}
+
+// shareImage returns the share render's coefficient image and logs its
+// nonzero-AC share, the sparsity the branch-free kernels are built for.
+func shareImage(b *testing.B) *Image {
+	b.Helper()
+	img, err := FromPlanar(shareRender(b), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var nonzero, total int
+	for ci := range img.Comps {
+		for bi := range img.Comps[ci].Blocks {
+			for _, v := range img.Comps[ci].Blocks[bi][1:] {
+				if v != 0 {
+					nonzero++
+				}
+			}
+			total += dct.BlockLen - 1
+		}
+	}
+	b.Logf("share render %dx%d: %.1f%% of AC coefficients nonzero", img.W, img.H, 100*float64(nonzero)/float64(total))
+	return img
+}
+
+func BenchmarkFromPlanarShare(b *testing.B) {
+	planar := shareRender(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromPlanar(planar, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodeOptimizedShare(b *testing.B) {
+	img := shareImage(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var cw countingWriter
+		if err := img.Encode(&cw, EncodeOptions{Tables: TablesOptimized}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeShare(b *testing.B) {
+	img := shareImage(b)
+	var buf bytes.Buffer
+	if err := img.Encode(&buf, EncodeOptions{Tables: TablesOptimized}); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
