@@ -21,13 +21,14 @@ test:
 # matrix) with its daemon, the serving spine both daemons share (admission
 # wrapper, batch reader), the parallel-pipeline determinism suite, the
 # reduced-IDCT kernels and transform planner (parallel scaled decode +
-# worker-count determinism), the restart-segment and scaled-decode
+# worker-count determinism), multi-pair parallel encryption through both
+# facade protect entry points, the restart-segment and scaled-decode
 # parallel plane fills, the encoder's parallel nonzero-mask pass (reference
 # walk and range rejection), and the allocation and coefficient-byte bounds
 # under -race.
 race:
 	$(GO) test -race -count=1 ./internal/psp/... ./internal/servecache/... ./internal/faults/... ./internal/blobstore/... ./internal/cluster/... ./internal/admission/... ./internal/spine/... ./internal/stats/... ./internal/loadgen/... ./internal/searchidx/... ./internal/dct/... ./internal/transform/... ./cmd/pspd/... ./cmd/pspgw/...
-	$(GO) test -race -count=1 -run 'TestParallelDeterminism|TestProtectRecoverAllocBudget' .
+	$(GO) test -race -count=1 -run 'TestParallelDeterminism|TestProtectRecoverAllocBudget|TestProtectMultiKeyPerRegion|TestProtectKeysPerRegionValidation' .
 	$(GO) test -race -count=1 -run 'TestRestart|TestToPlanarScaled|TestNative420CoeffBytes|TestEncodeMatchesReferenceWalk|TestEncodeRejectsOutOfRangeCoefficients' ./internal/jpegc
 
 # cluster-e2e runs the full crash/partition e2e on its own: a real 3-shard

@@ -31,12 +31,18 @@ func perturbWhole(base *jpegc.Image, params core.Params, seed int64) (*jpegc.Ima
 	return img, pd, pair, nil
 }
 
-// encodeOptionsFor mirrors Scheme.EncodeOptions without constructing one.
-func encodeOptionsFor(v core.Variant) jpegc.EncodeOptions {
-	if v == core.VariantC || v == core.VariantZ {
-		return jpegc.EncodeOptions{Tables: jpegc.TablesOptimized}
+// perturbedSize is the encoded size of the image after perturbWhole, under
+// the entropy-coding mode the scheme calls for.
+func perturbedSize(base *jpegc.Image, params core.Params, seed int64) (int64, error) {
+	sch, err := core.NewScheme(params)
+	if err != nil {
+		return 0, err
 	}
-	return jpegc.EncodeOptions{Tables: jpegc.TablesDefault}
+	perturbed, _, _, err := perturbWhole(base, params, seed)
+	if err != nil {
+		return 0, err
+	}
+	return perturbed.EncodedSize(sch.EncodeOptions())
 }
 
 // Table2Row is one scheme's normalized whole-image perturbed size.
@@ -62,14 +68,9 @@ func Table2(cfg Config) ([]Table2Row, *stats.Table, error) {
 			return nil, nil, err
 		}
 		for _, v := range variants {
-			params := core.Params{Variant: v, MR: 32, K: 8}
-			perturbed, _, _, err := perturbWhole(ci.img, params, int64(1000+i))
+			size, err := perturbedSize(ci.img, core.Params{Variant: v, MR: 32, K: 8}, int64(1000+i))
 			if err != nil {
 				return nil, nil, fmt.Errorf("experiments: %s on item %d: %w", v, i, err)
-			}
-			size, err := perturbed.EncodedSize(encodeOptionsFor(v))
-			if err != nil {
-				return nil, nil, err
 			}
 			ratios[v] = append(ratios[v], float64(size)/float64(origSize))
 		}
@@ -242,11 +243,7 @@ func Fig17(cfg Config) ([]Fig17Row, *stats.Table, error) {
 					if err != nil {
 						return nil, nil, err
 					}
-					perturbed, _, _, err := perturbWhole(ci.img, core.Params{Variant: v, MR: mR, K: k}, int64(2000+i))
-					if err != nil {
-						return nil, nil, err
-					}
-					size, err := perturbed.EncodedSize(encodeOptionsFor(v))
+					size, err := perturbedSize(ci.img, core.Params{Variant: v, MR: mR, K: k}, int64(2000+i))
 					if err != nil {
 						return nil, nil, err
 					}
@@ -335,7 +332,7 @@ func Fig18(cfg Config) ([]Fig18Row, *stats.Table, error) {
 				if err != nil {
 					return nil, nil, err
 				}
-				size, err := img.EncodedSize(encodeOptionsFor(v))
+				size, err := img.EncodedSize(sch.EncodeOptions())
 				if err != nil {
 					return nil, nil, err
 				}
@@ -439,7 +436,7 @@ func Fig19(cfg Config) (*Fig19Result, *stats.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if res.PuppiesPublicBytes, err = img.EncodedSize(encodeOptionsFor(core.VariantZ)); err != nil {
+	if res.PuppiesPublicBytes, err = img.EncodedSize(sch.EncodeOptions()); err != nil {
 		return nil, nil, err
 	}
 	res.PuppiesParamsBytes = pd.ParamsSizeBytes()

@@ -315,30 +315,12 @@ func clampBaselineAC(b *dct.Block) {
 }
 
 // ToPlanar converts the coefficient image back to unclamped planar YUV
-// pixels (dequantize + inverse DCT + level unshift). Subsampled components
-// are reconstructed at their native resolution and bilinearly upsampled to
-// the full image size, so the planar model stays 4:4:4 for consumers.
+// pixels (dequantize + inverse DCT + level unshift): the full-size case of
+// ToPlanarScaled. Subsampled components are reconstructed at their native
+// resolution and bilinearly upsampled to the full image size, so the planar
+// model stays 4:4:4 for consumers.
 func (m *Image) ToPlanar() (*imgplane.Image, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	out, err := imgplane.New(m.W, m.H, len(m.Comps))
-	if err != nil {
-		return nil, err
-	}
-	for ci := range m.Comps {
-		comp := &m.Comps[ci]
-		pw, ph := m.CompDims(ci)
-		if pw == m.W && ph == m.H {
-			fillPlaneFromComponent(comp, out.Planes[ci])
-			continue
-		}
-		native := imgplane.GetPlane(pw, ph)
-		fillPlaneFromComponent(comp, native)
-		imgplane.ResizeBilinearInto(native, out.Planes[ci])
-		imgplane.PutPlane(native)
-	}
-	return out, nil
+	return m.ToPlanarScaled(dct.ScaleDen)
 }
 
 // fillPlaneFromComponent dequantizes + inverse-transforms a component into

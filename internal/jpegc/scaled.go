@@ -20,11 +20,11 @@ func ScaledDim(px, num int) int {
 }
 
 // ToPlanarScaled decodes the coefficient image straight to a num/8-size
-// planar image (num in {1, 2, 4}) using the reduced inverse-DCT kernels —
-// the libjpeg-style scaled decode. A 1/4-scale decode touches 4 of 64
-// coefficients per block and writes 1/16 of the samples, so it runs far
-// ahead of ToPlanar + downsampling while producing the same image up to
-// the truncated high-frequency residue.
+// planar image (num in {1, 2, 4, 8}) using the reduced inverse-DCT kernels —
+// the libjpeg-style scaled decode; num 8 is the full decode ToPlanar runs.
+// A 1/4-scale decode touches 4 of 64 coefficients per block and writes 1/16
+// of the samples, so it runs far ahead of ToPlanar + downsampling while
+// producing the same image up to the truncated high-frequency residue.
 //
 // Components are processed in their native subsampled geometry with a
 // per-plane, per-axis kernel choice: at a 1/4-scale target a 4:2:0 chroma
@@ -37,8 +37,8 @@ func ScaledDim(px, num int) int {
 // Output is deterministic at any worker count (disjoint block-row writes,
 // fixed parallel chunking).
 func (m *Image) ToPlanarScaled(num int) (*imgplane.Image, error) {
-	if num != 1 && num != 2 && num != 4 {
-		return nil, fmt.Errorf("jpegc: scaled decode numerator %d, want 1, 2, or 4 (denominator %d)", num, dct.ScaleDen)
+	if num != 1 && num != 2 && num != 4 && num != dct.ScaleDen {
+		return nil, fmt.Errorf("jpegc: scaled decode numerator %d, want 1, 2, 4 or 8 (denominator %d)", num, dct.ScaleDen)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -55,16 +55,17 @@ func (m *Image) ToPlanarScaled(num int) (*imgplane.Image, error) {
 		// A component sampled at half the image rate needs half the
 		// reduction to land at the same absolute scale; cap at the full
 		// axis. maxH/hs is 1 or 2, so nh stays inside {1, 2, 4, 8}.
-		nh := num * (maxH / hs)
-		nv := num * (maxV / vs)
+		nh := min(num*(maxH/hs), dct.ScaleDen)
+		nv := min(num*(maxV/vs), dct.ScaleDen)
 		pw, ph := m.CompDims(ci)
 		cw, ch := ScaledDim(pw, nh), ScaledDim(ph, nv)
 		if cw == sw && ch == sh {
 			fillPlaneScaled(comp, out.Planes[ci], nh, nv)
 			continue
 		}
-		// Odd-dimension rounding can leave the reduced chroma grid an edge
-		// pixel off the luma grid; align it with the shared bilinear kernel.
+		// A capped axis (full-size decode of a subsampled plane) or
+		// odd-dimension rounding leaves the chroma grid off the luma grid;
+		// align it with the shared bilinear kernel.
 		native := imgplane.GetPlane(cw, ch)
 		fillPlaneScaled(comp, native, nh, nv)
 		imgplane.ResizeBilinearInto(native, out.Planes[ci])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"image"
 	"math"
+	"math/rand"
 	"testing"
 
 	"puppies/internal/imgplane"
@@ -50,34 +51,55 @@ func scaledReference(t testing.TB, img *Image, num int) *imgplane.Image {
 	return out
 }
 
+// scaledNums are the supported numerators; 8 is the full decode ToPlanar
+// runs.
+var scaledNums = []int{1, 2, 4, 8}
+
+// scaledLayouts returns a wxh image in each chroma layout the scaled decode
+// handles natively: the library's own 4:4:4, a stdlib 4:2:0 stream, and a
+// 4:2:2 coefficient image (the stdlib encoder never writes 4:2:2).
+func scaledLayouts(t testing.TB, w, h int) map[string]*Image {
+	t.Helper()
+	own, err := FromPlanar(gradientPlanar(w, h), Options{Quality: 85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	std, err := Decode(bytes.NewReader(stdlibYCbCr(t, w, h, image.YCbCrSubsampleRatio420)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Image{
+		"444": own,
+		"420": std,
+		"422": denseImage(rand.New(rand.NewSource(int64(w*h))), w, h, 3, 2, 1),
+	}
+}
+
 func TestToPlanarScaledGeometry(t *testing.T) {
 	for _, tc := range []struct{ w, h int }{
 		{8, 8}, {64, 48}, {67, 45}, {100, 75}, {513, 385}, {16, 1024},
 	} {
-		img, err := FromPlanar(gradientPlanar(tc.w, tc.h), Options{Quality: 85})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, num := range []int{1, 2, 4} {
-			small, err := img.ToPlanarScaled(num)
-			if err != nil {
-				t.Fatalf("%dx%d num=%d: %v", tc.w, tc.h, num, err)
-			}
-			if err := small.Validate(); err != nil {
-				t.Fatalf("%dx%d num=%d: %v", tc.w, tc.h, num, err)
-			}
-			wantW, wantH := ScaledDim(tc.w, num), ScaledDim(tc.h, num)
-			if small.W() != wantW || small.H() != wantH {
-				t.Fatalf("%dx%d num=%d: got %dx%d, want %dx%d", tc.w, tc.h, num, small.W(), small.H(), wantW, wantH)
+		for name, img := range scaledLayouts(t, tc.w, tc.h) {
+			for _, num := range scaledNums {
+				small, err := img.ToPlanarScaled(num)
+				if err != nil {
+					t.Fatalf("%s %dx%d num=%d: %v", name, tc.w, tc.h, num, err)
+				}
+				if err := small.Validate(); err != nil {
+					t.Fatalf("%s %dx%d num=%d: %v", name, tc.w, tc.h, num, err)
+				}
+				wantW, wantH := ScaledDim(tc.w, num), ScaledDim(tc.h, num)
+				if small.W() != wantW || small.H() != wantH {
+					t.Fatalf("%s %dx%d num=%d: got %dx%d, want %dx%d", name, tc.w, tc.h, num, small.W(), small.H(), wantW, wantH)
+				}
 			}
 		}
 	}
 	img, _ := FromPlanar(gradientPlanar(32, 32), Options{})
-	if _, err := img.ToPlanarScaled(3); err == nil {
-		t.Fatal("num=3 accepted")
-	}
-	if _, err := img.ToPlanarScaled(8); err == nil {
-		t.Fatal("num=8 accepted (full decode is ToPlanar)")
+	for _, num := range []int{0, 3, 16} {
+		if _, err := img.ToPlanarScaled(num); err == nil {
+			t.Fatalf("num=%d accepted", num)
+		}
 	}
 }
 
@@ -117,25 +139,25 @@ func TestToPlanarScaledMatchesFullPath(t *testing.T) {
 // count — the property the serving cache's same-spec-same-bytes ETag
 // contract rests on.
 func TestToPlanarScaledDeterminism(t *testing.T) {
-	img, err := Decode(bytes.NewReader(stdlibYCbCr(t, 137, 91, image.YCbCrSubsampleRatio420)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := img.ToPlanarScaled(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		prev := parallel.SetWorkers(workers)
-		got, err := img.ToPlanarScaled(2)
-		parallel.SetWorkers(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ci := range base.Planes {
-			for i, v := range base.Planes[ci].Pix {
-				if got.Planes[ci].Pix[i] != v {
-					t.Fatalf("workers=%d: plane %d sample %d differs", workers, ci, i)
+	for name, img := range scaledLayouts(t, 137, 91) {
+		for _, num := range scaledNums {
+			base, err := img.ToPlanarScaled(num)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				prev := parallel.SetWorkers(workers)
+				got, err := img.ToPlanarScaled(num)
+				parallel.SetWorkers(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ci := range base.Planes {
+					for i, v := range base.Planes[ci].Pix {
+						if got.Planes[ci].Pix[i] != v {
+							t.Fatalf("%s num=%d workers=%d: plane %d sample %d differs", name, num, workers, ci, i)
+						}
+					}
 				}
 			}
 		}

@@ -83,7 +83,7 @@ func TestOverloadShedTimeout(t *testing.T) {
 	if d := time.Since(start); d > 5*time.Second {
 		t.Fatalf("shed took %v, want ~30ms", d)
 	}
-	if ra := parseRetryAfter(resp.Header); ra <= 0 {
+	if ra := ParseRetryAfter(resp.Header); ra <= 0 {
 		t.Fatalf("Retry-After %q did not parse to a positive duration", resp.Header.Get("Retry-After"))
 	}
 	if cls := resp.Header.Get(errorClassHeader); cls != errorClassOverloaded {

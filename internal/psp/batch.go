@@ -286,7 +286,7 @@ func (c *Client) uploadBatchOnce(ctx context.Context, items []BatchUpload, keys 
 			Path:       req.URL.Path,
 			Code:       resp.StatusCode,
 			Body:       string(bytes.TrimSpace(respBody)),
-			RetryAfter: parseRetryAfter(resp.Header),
+			RetryAfter: ParseRetryAfter(resp.Header),
 			Class:      resp.Header.Get(errorClassHeader),
 		}
 	}

@@ -263,7 +263,7 @@ func (c *Client) doOnce(ctx context.Context, method, rawURL string, body []byte,
 			Path:       req.URL.Path,
 			Code:       resp.StatusCode,
 			Body:       string(bytes.TrimSpace(respBody)),
-			RetryAfter: parseRetryAfter(resp.Header),
+			RetryAfter: ParseRetryAfter(resp.Header),
 			Class:      resp.Header.Get(errorClassHeader),
 		}
 	}

@@ -57,12 +57,6 @@ const (
 	ErrorClassOverloaded = errorClassOverloaded
 )
 
-// ParseRetryAfter exposes Retry-After parsing (delta seconds, fractional
-// accepted, or HTTP date) for the cluster gateway's passthrough logic.
-func ParseRetryAfter(h http.Header) time.Duration {
-	return parseRetryAfter(h)
-}
-
 // StatusError reports a non-2xx HTTP response from the PSP.
 type StatusError struct {
 	Method string
@@ -147,9 +141,10 @@ func classifyTransport(err error, attemptTimedOut bool) error {
 	return err
 }
 
-// parseRetryAfter reads a Retry-After header as delta seconds (fractional
-// accepted) or an HTTP date. Returns zero if absent or unparseable.
-func parseRetryAfter(h http.Header) time.Duration {
+// ParseRetryAfter reads a Retry-After header as delta seconds (fractional
+// accepted) or an HTTP date. Returns zero if absent or unparseable. The
+// cluster gateway uses it to pass shard hints through to clients.
+func ParseRetryAfter(h http.Header) time.Duration {
 	raw := strings.TrimSpace(h.Get("Retry-After"))
 	if raw == "" {
 		return 0

@@ -2,9 +2,11 @@ package puppies
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"puppies/internal/jpegc"
+	"puppies/internal/keys"
 )
 
 func TestProtectJPEGLossless(t *testing.T) {
@@ -81,5 +83,47 @@ func TestProtectJPEGValidation(t *testing.T) {
 func TestUnprotectJPEGGarbage(t *testing.T) {
 	if _, err := UnprotectJPEG([]byte("junk"), []byte("{}"), nil); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestProtectJPEGMatchesProtect pins the single sender pipeline: protecting
+// pixels and protecting the library's own JPEG of those pixels at the same
+// quality carry identical coefficients into the same scheme, so with fixed
+// keys the two entry points must emit byte-identical images and parameters.
+func TestProtectJPEGMatchesProtect(t *testing.T) {
+	src := sampleImage(t, 4)
+	const quality = 85
+	jpg, err := EncodeJPEG(src, quality)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second region is unaligned, so both paths must expand it alike.
+	regions := []Rect{{X: 16, Y: 24, W: 96, H: 64}, {X: 203, Y: 117, W: 70, H: 45}}
+	for _, v := range []Variant{VariantN, VariantB, VariantC, VariantZ} {
+		for _, support := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/support=%v", v, support), func(t *testing.T) {
+				opts := ProtectOptions{
+					Variant:          v,
+					Regions:          regions,
+					Keys:             []*KeyPair{keys.NewPairDeterministic(1), keys.NewPairDeterministic(2)},
+					Quality:          quality,
+					TransformSupport: support,
+				}
+				fromPixels, err := Protect(src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fromJPEG, err := ProtectJPEG(jpg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(fromPixels.JPEG, fromJPEG.JPEG) {
+					t.Error("JPEG bytes differ between Protect and ProtectJPEG")
+				}
+				if !bytes.Equal(fromPixels.Params, fromJPEG.Params) {
+					t.Error("Params bytes differ between Protect and ProtectJPEG")
+				}
+			})
+		}
 	}
 }

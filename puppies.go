@@ -28,8 +28,11 @@ package puppies
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"image"
+	"io"
+	"slices"
 
 	"puppies/internal/core"
 	"puppies/internal/imgplane"
@@ -106,7 +109,7 @@ func DetectRegions(img image.Image) []Rect {
 	return roi.NewDetector().Recommend(planar)
 }
 
-// ProtectOptions configure Protect.
+// ProtectOptions configure Protect and ProtectJPEG.
 type ProtectOptions struct {
 	// Variant selects the scheme; empty selects VariantZ (the paper's most
 	// storage-efficient variant).
@@ -116,6 +119,7 @@ type ProtectOptions struct {
 	Level PrivacyLevel
 	// Regions lists the rectangles to protect. Nil means run the ROI
 	// detectors; if they find nothing, Protect returns an error.
+	// ProtectJPEG cannot detect and requires explicit regions.
 	Regions []Rect
 	// Keys optionally supplies one key pair per region (matched by index).
 	// Nil means generate a fresh pair per region.
@@ -125,7 +129,8 @@ type ProtectOptions struct {
 	// search space and the key-storage cost grow linearly; stripes can be
 	// granted independently. Ignored when Keys is set.
 	KeysPerRegion int
-	// Quality is the JPEG quality for encoding (0 = 75).
+	// Quality is the JPEG quality for encoding (0 = 75). ProtectJPEG
+	// ignores it and keeps the input's quantization tables.
 	Quality int
 	// TransformSupport requests the extra public parameters needed to
 	// recover regions from pixel-domain-transformed copies (exact recovery
@@ -151,130 +156,45 @@ type Protected struct {
 // Protect perturbs the sensitive regions of an image and returns the
 // shareable artifacts.
 func Protect(src image.Image, opts ProtectOptions) (*Protected, error) {
-	if src == nil {
-		return nil, fmt.Errorf("puppies: nil image")
-	}
-	if opts.Variant == "" {
-		opts.Variant = VariantZ
-	}
-	if opts.Level == "" {
-		opts.Level = LevelMedium
-	}
-	params, err := core.NewParams(opts.Variant, opts.Level)
+	planar, img, err := fromStdImage(src, opts.Quality)
 	if err != nil {
 		return nil, err
 	}
-	params.Wrap = core.WrapRecorded
-	params.TransformSupport = opts.TransformSupport
-	scheme, err := core.NewScheme(params)
-	if err != nil {
-		return nil, err
-	}
-
-	planar, err := imgplane.FromStdImage(src)
-	if err != nil {
-		return nil, err
-	}
-	img, err := jpegc.FromPlanar(planar, jpegc.Options{Quality: opts.Quality})
-	if err != nil {
-		return nil, err
-	}
-
 	regions := opts.Regions
 	if regions == nil {
 		regions = roi.NewDetector().Recommend(planar)
 		if len(regions) == 0 {
 			return nil, fmt.Errorf("puppies: no sensitive regions detected; pass Regions explicitly")
 		}
-	} else {
-		aligned := make([]Rect, 0, len(regions))
-		for _, r := range regions {
-			a, err := r.AlignToBlocks(img.W, img.H)
-			if err != nil {
-				return nil, fmt.Errorf("puppies: region %+v: %w", r, err)
-			}
-			aligned = append(aligned, a)
-		}
-		regions = roi.AlignAll(aligned, img.W, img.H)
 	}
-
-	if opts.Keys != nil && len(opts.Keys) != len(regions) {
-		return nil, fmt.Errorf("puppies: %d keys for %d regions", len(opts.Keys), len(regions))
-	}
-	if opts.KeysPerRegion < 0 {
-		return nil, fmt.Errorf("puppies: negative KeysPerRegion")
-	}
-	perRegion := opts.KeysPerRegion
-	if perRegion == 0 || opts.Keys != nil {
-		perRegion = 1
-	}
-	assignments := make([]core.RegionAssignment, len(regions))
-	var pairs []*KeyPair
-	for i, r := range regions {
-		if opts.Keys != nil {
-			pairs = append(pairs, opts.Keys[i])
-			assignments[i] = core.RegionAssignment{ROI: r, Pair: opts.Keys[i]}
-			continue
-		}
-		regionPairs := make([]*keys.Pair, perRegion)
-		for j := range regionPairs {
-			if regionPairs[j], err = keys.NewPair(); err != nil {
-				return nil, err
-			}
-		}
-		pairs = append(pairs, regionPairs...)
-		if perRegion == 1 {
-			assignments[i] = core.RegionAssignment{ROI: r, Pair: regionPairs[0]}
-		} else {
-			assignments[i] = core.RegionAssignment{ROI: r, Pairs: regionPairs}
-		}
-	}
-
-	pd, _, err := scheme.EncryptImage(img, assignments)
-	if err != nil {
-		return nil, err
-	}
-	var jpegBuf bytes.Buffer
-	if err := img.Encode(&jpegBuf, scheme.EncodeOptions()); err != nil {
-		return nil, err
-	}
-	paramBytes, err := pd.Encode()
-	if err != nil {
-		return nil, err
-	}
-	return &Protected{
-		JPEG:    jpegBuf.Bytes(),
-		Params:  paramBytes,
-		Keys:    pairs,
-		Regions: regions,
-	}, nil
+	return protect(img, regions, opts)
 }
 
 // ProtectJPEG protects regions of an existing baseline JPEG with minimal
 // generation loss: coefficients are carried over from the input instead of
-// being re-encoded from pixels. For 4:4:4 or grayscale inputs (including
-// this library's own output) the whole image is bit-exact outside the
-// regions. Subsampled inputs (4:2:0/4:2:2/4:4:0) are carried in native
-// geometry — also fully bit-exact outside the regions — when every region
-// can be expanded to the input's MCU grid without colliding with a
-// neighbor; otherwise chroma is upsampled and re-quantized once
-// (Normalize444), the historical behavior. Regions cannot be auto-detected
-// on this path — pass them explicitly.
+// being re-encoded from pixels, so the image is bit-exact outside the
+// regions. Subsampled inputs (4:2:0/4:2:2/4:4:0) stay in native geometry
+// when every region can be expanded to the input's MCU grid without
+// colliding with a neighbor; otherwise chroma is upsampled and re-quantized
+// once (Normalize444). Regions cannot be auto-detected on this path — pass
+// them explicitly. Every other option works as in Protect.
 func ProtectJPEG(jpegData []byte, opts ProtectOptions) (*Protected, error) {
 	if len(opts.Regions) == 0 {
 		return nil, fmt.Errorf("puppies: ProtectJPEG requires explicit Regions")
 	}
-	if opts.Variant == "" {
-		opts.Variant = VariantZ
-	}
-	if opts.Level == "" {
-		opts.Level = LevelMedium
-	}
-	img, err := jpegc.Decode(bytes.NewReader(jpegData))
+	img, err := decode(jpegc.Decode, jpegData)
 	if err != nil {
-		return nil, fmt.Errorf("puppies: decode image: %w", err)
+		return nil, err
 	}
-	params, err := core.NewParams(opts.Variant, opts.Level)
+	return protect(img, opts.Regions, opts)
+}
+
+// protect is the sender pipeline both entry points share. It aligns the
+// regions to img's block grid (and a subsampled img's MCU grid, else
+// normalizes img to 4:4:4), perturbs them in place under opts' scheme and
+// key policy, and encodes the image and its public parameters.
+func protect(img *jpegc.Image, regions []Rect, opts ProtectOptions) (*Protected, error) {
+	params, err := core.NewParams(cmp.Or(opts.Variant, VariantZ), cmp.Or(opts.Level, LevelMedium))
 	if err != nil {
 		return nil, err
 	}
@@ -285,20 +205,12 @@ func ProtectJPEG(jpegData []byte, opts ProtectOptions) (*Protected, error) {
 		return nil, err
 	}
 
-	regions := make([]Rect, 0, len(opts.Regions))
-	for _, r := range opts.Regions {
-		a, err := r.AlignToBlocks(img.W, img.H)
-		if err != nil {
+	for _, r := range regions {
+		if _, err := r.AlignToBlocks(img.W, img.H); err != nil {
 			return nil, fmt.Errorf("puppies: region %+v: %w", r, err)
 		}
-		regions = append(regions, a)
 	}
 	regions = roi.AlignAll(regions, img.W, img.H)
-
-	// Native subsampled path: when every region expands to the input's MCU
-	// grid without colliding with a neighbor, protect chroma blocks at
-	// native resolution — no transcode at all. Otherwise normalize to
-	// 4:4:4 once, where the 8-pixel block grid is the MCU grid.
 	if img.Subsampled() {
 		if mcu, ok := alignRegionsToMCU(img, regions); ok {
 			regions = mcu
@@ -310,55 +222,59 @@ func ProtectJPEG(jpegData []byte, opts ProtectOptions) (*Protected, error) {
 	if opts.Keys != nil && len(opts.Keys) != len(regions) {
 		return nil, fmt.Errorf("puppies: %d keys for %d regions", len(opts.Keys), len(regions))
 	}
-	assignments := make([]core.RegionAssignment, len(regions))
-	pairs := make([]*KeyPair, len(regions))
-	for i, r := range regions {
-		pair := (*KeyPair)(nil)
-		if opts.Keys != nil {
-			pair = opts.Keys[i]
-		} else if pair, err = keys.NewPair(); err != nil {
+	if opts.KeysPerRegion < 0 {
+		return nil, fmt.Errorf("puppies: negative KeysPerRegion")
+	}
+	perRegion := 1
+	if opts.Keys == nil {
+		perRegion = max(opts.KeysPerRegion, 1)
+	}
+	pairs := append([]*KeyPair(nil), opts.Keys...)
+	for len(pairs) < len(regions)*perRegion {
+		pair, err := keys.NewPair()
+		if err != nil {
 			return nil, err
 		}
-		pairs[i] = pair
-		assignments[i] = core.RegionAssignment{ROI: r, Pair: pair}
+		pairs = append(pairs, pair)
 	}
+	assignments := make([]core.RegionAssignment, len(regions))
+	for i, r := range regions {
+		assignments[i] = core.RegionAssignment{ROI: r, Pairs: pairs[i*perRegion : (i+1)*perRegion]}
+	}
+
 	pd, _, err := scheme.EncryptImage(img, assignments)
 	if err != nil {
 		return nil, err
 	}
-	var jpegBuf bytes.Buffer
-	if err := img.Encode(&jpegBuf, scheme.EncodeOptions()); err != nil {
+	jpegBytes, err := encodeBytes(img, scheme.EncodeOptions())
+	if err != nil {
 		return nil, err
 	}
 	paramBytes, err := pd.Encode()
 	if err != nil {
 		return nil, err
 	}
-	return &Protected{
-		JPEG:    jpegBuf.Bytes(),
-		Params:  paramBytes,
-		Keys:    pairs,
-		Regions: regions,
-	}, nil
+	return &Protected{JPEG: jpegBytes, Params: paramBytes, Keys: pairs, Regions: regions}, nil
 }
 
-// UnprotectJPEG is the lossless counterpart of Unprotect: it returns the
-// recovered coefficient stream as JPEG bytes instead of decoded pixels, so
-// a receiver can store the recovered file without generation loss.
-func UnprotectJPEG(jpegData, params []byte, pairs []*KeyPair) ([]byte, error) {
-	img, err := jpegc.Decode(bytes.NewReader(jpegData))
+// fromStdImage imports a stdlib image and forward-transforms it to a 4:4:4
+// coefficient image at the given JPEG quality.
+func fromStdImage(src image.Image, quality int) (*imgplane.Image, *jpegc.Image, error) {
+	if src == nil {
+		return nil, nil, fmt.Errorf("puppies: nil image")
+	}
+	planar, err := imgplane.FromStdImage(src)
 	if err != nil {
-		return nil, fmt.Errorf("puppies: decode image: %w", err)
+		return nil, nil, err
 	}
-	pd, err := core.DecodePublicData(params)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := core.DecryptImage(img, pd, keyMap(pairs)); err != nil {
-		return nil, err
-	}
+	img, err := jpegc.FromPlanar(planar, jpegc.Options{Quality: quality})
+	return planar, img, err
+}
+
+// encodeBytes entropy-codes a coefficient image to a JPEG stream.
+func encodeBytes(img *jpegc.Image, opts jpegc.EncodeOptions) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := img.Encode(&buf, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized}); err != nil {
+	if err := img.Encode(&buf, opts); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -366,24 +282,60 @@ func UnprotectJPEG(jpegData, params []byte, pairs []*KeyPair) ([]byte, error) {
 
 // alignRegionsToMCU expands block-aligned regions outward to the MCU grid
 // of a subsampled image. It reports failure when any expansion fails or two
-// expanded regions collide; the caller then falls back to 4:4:4
-// normalization, where the 8-pixel block grid is the MCU grid.
+// expanded regions collide.
 func alignRegionsToMCU(img *jpegc.Image, regions []Rect) ([]Rect, bool) {
 	maxH, maxV := img.MaxSampling()
 	out := make([]Rect, len(regions))
 	for i, r := range regions {
 		a, err := r.AlignToMCU(img.W, img.H, maxH, maxV)
-		if err != nil {
+		if err != nil || slices.ContainsFunc(out[:i], a.Overlaps) {
 			return nil, false
-		}
-		for j := 0; j < i; j++ {
-			if a.Overlaps(out[j]) {
-				return nil, false
-			}
 		}
 		out[i] = a
 	}
 	return out, true
+}
+
+// decode reads a JPEG (jpegc.Decode) or PLNR (imgplane.DecodeBinary) stream.
+func decode[T any](fn func(io.Reader) (T, error), data []byte) (T, error) {
+	img, err := fn(bytes.NewReader(data))
+	if err != nil {
+		err = fmt.Errorf("puppies: decode image: %w", err)
+	}
+	return img, err
+}
+
+// receive is the preamble every receiver shares: it decodes the delivered
+// copy, parses the public parameters stored next to it and records the
+// transformation the PSP applied to the copy.
+func receive[T any](fn func(io.Reader) (T, error), data, params []byte, spec TransformSpec) (T, *core.PublicData, error) {
+	delivered, err := decode(fn, data)
+	if err != nil {
+		return delivered, nil, err
+	}
+	pd, err := core.DecodePublicData(params)
+	if err != nil {
+		return delivered, nil, err
+	}
+	pd.Transform = spec
+	return delivered, pd, nil
+}
+
+// recoverJPEG recovers every region of a delivered JPEG copy whose keys are
+// present. The identity spec decrypts the freshly decoded image in place;
+// any other spec goes through core.ReconstructCoeff.
+func recoverJPEG(jpegData, params []byte, spec TransformSpec, pairs []*KeyPair) (*jpegc.Image, error) {
+	img, pd, err := receive(jpegc.Decode, jpegData, params, spec)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Op != transform.OpNone {
+		return core.ReconstructCoeff(img, pd, keyMap(pairs))
+	}
+	if _, err := core.DecryptImage(img, pd, keyMap(pairs)); err != nil {
+		return nil, err
+	}
+	return img, nil
 }
 
 // keyMap indexes pairs by ID.
@@ -399,17 +351,30 @@ func keyMap(pairs []*KeyPair) map[string]*KeyPair {
 
 // Unprotect decrypts every region whose key is present and returns the
 // image. Regions without keys remain perturbed — the personalized-privacy
-// behaviour.
+// behaviour. It is UnprotectTransformed with the identity spec.
 func Unprotect(jpegData, params []byte, pairs []*KeyPair) (image.Image, error) {
-	img, err := jpegc.Decode(bytes.NewReader(jpegData))
-	if err != nil {
-		return nil, fmt.Errorf("puppies: decode image: %w", err)
-	}
-	pd, err := core.DecodePublicData(params)
+	return UnprotectTransformed(jpegData, params, TransformSpec{Op: transform.OpNone}, pairs)
+}
+
+// UnprotectJPEG is the lossless counterpart of Unprotect: it returns the
+// recovered coefficient stream as JPEG bytes instead of decoded pixels, so
+// a receiver can store the recovered file without generation loss.
+func UnprotectJPEG(jpegData, params []byte, pairs []*KeyPair) ([]byte, error) {
+	img, err := recoverJPEG(jpegData, params, TransformSpec{Op: transform.OpNone}, pairs)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := core.DecryptImage(img, pd, keyMap(pairs)); err != nil {
+	return encodeBytes(img, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
+}
+
+// UnprotectTransformed recovers an image that the PSP transformed in the
+// coefficient domain (rotations by multiples of 90 degrees, flips,
+// block-aligned crops); spec must describe the PSP's transformation.
+// Pixel-domain transforms go through UnprotectTransformedPixels. This
+// package does not recover recompressed copies.
+func UnprotectTransformed(jpegData, params []byte, spec TransformSpec, pairs []*KeyPair) (image.Image, error) {
+	img, err := recoverJPEG(jpegData, params, spec, pairs)
+	if err != nil {
 		return nil, err
 	}
 	planar, err := img.ToPlanar()
@@ -419,78 +384,38 @@ func Unprotect(jpegData, params []byte, pairs []*KeyPair) (image.Image, error) {
 	return planar.Quantize8().ToStdImage(), nil
 }
 
-// UnprotectTransformed recovers an image that the PSP transformed in the
-// coefficient domain (rotations by multiples of 90 degrees, flips,
-// block-aligned crops, recompression is handled by RecoverCompressed).
-// spec must describe the PSP's transformation.
-func UnprotectTransformed(jpegData, params []byte, spec TransformSpec, pairs []*KeyPair) (image.Image, error) {
-	img, err := jpegc.Decode(bytes.NewReader(jpegData))
-	if err != nil {
-		return nil, fmt.Errorf("puppies: decode image: %w", err)
-	}
-	pd, err := core.DecodePublicData(params)
-	if err != nil {
-		return nil, err
-	}
-	pd.Transform = spec
-	out, err := core.ReconstructCoeff(img, pd, keyMap(pairs))
-	if err != nil {
-		return nil, err
-	}
-	planar, err := out.ToPlanar()
-	if err != nil {
-		return nil, err
-	}
-	return planar.Quantize8().ToStdImage(), nil
-}
-
 // EncodeJPEG encodes any stdlib image as a baseline 4:4:4 JPEG using this
 // library's codec (quality 0 selects 75).
 func EncodeJPEG(src image.Image, quality int) ([]byte, error) {
-	if src == nil {
-		return nil, fmt.Errorf("puppies: nil image")
-	}
-	planar, err := imgplane.FromStdImage(src)
+	_, img, err := fromStdImage(src, quality)
 	if err != nil {
 		return nil, err
 	}
-	img, err := jpegc.FromPlanar(planar, jpegc.Options{Quality: quality})
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := img.Encode(&buf, jpegc.EncodeOptions{}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encodeBytes(img, jpegc.EncodeOptions{})
 }
 
 // PSPTransform applies a transformation to a JPEG exactly as a PSP would —
 // with no knowledge of any protection in it — and returns the re-encoded
 // result. Useful for driving the scheme without the HTTP simulator.
 func PSPTransform(jpegData []byte, spec TransformSpec) ([]byte, error) {
-	img, err := jpegc.Decode(bytes.NewReader(jpegData))
+	img, err := decode(jpegc.Decode, jpegData)
 	if err != nil {
-		return nil, fmt.Errorf("puppies: decode image: %w", err)
+		return nil, err
 	}
 	out, err := transform.Apply(img, spec)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := out.Encode(&buf, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encodeBytes(out, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
 }
 
 // PSPTransformPixels applies a pixel-domain transformation and returns the
 // result as a lossless PLNR stream — the high-fidelity delivery path that
 // UnprotectTransformedPixels consumes.
 func PSPTransformPixels(jpegData []byte, spec TransformSpec) ([]byte, error) {
-	img, err := jpegc.Decode(bytes.NewReader(jpegData))
+	img, err := decode(jpegc.Decode, jpegData)
 	if err != nil {
-		return nil, fmt.Errorf("puppies: decode image: %w", err)
+		return nil, err
 	}
 	pix, err := img.ToPlanar()
 	if err != nil {
@@ -509,15 +434,10 @@ func PSPTransformPixels(jpegData []byte, spec TransformSpec) ([]byte, error) {
 // the image was protected with the default WrapRecorded policy (and, for
 // VariantZ, with TransformSupport).
 func UnprotectTransformedPixels(plnrData, params []byte, spec TransformSpec, pairs []*KeyPair) (image.Image, error) {
-	transformed, err := imgplane.DecodeBinary(bytes.NewReader(plnrData))
+	transformed, pd, err := receive(imgplane.DecodeBinary, plnrData, params, spec)
 	if err != nil {
 		return nil, err
 	}
-	pd, err := core.DecodePublicData(params)
-	if err != nil {
-		return nil, err
-	}
-	pd.Transform = spec
 	out, err := core.ReconstructPixels(transformed, pd, keyMap(pairs))
 	if err != nil {
 		return nil, err
