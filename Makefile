@@ -96,10 +96,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# check also runs the perfbench module's tests: the benchmark is its own
-# module, so `go test ./...` never compiles it against the psp/cluster API.
+# check also vets and tests the perfbench module: the benchmark is its own
+# module, so the root `go vet ./...` and `go test ./...` never compile it
+# against the psp/cluster API.
 check: fmt
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
 	cd perfbench && $(GO) test -count=1 .

@@ -70,9 +70,6 @@ type Config struct {
 	// ProbeInterval is the health-check period for Start (0 means
 	// DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// DisableReadVerify turns off the asynchronous quorum read
-	// verification that runs behind raw-image GETs.
-	DisableReadVerify bool
 	// Limits shapes the gateway's own admission control exactly as on
 	// psp.Server (transform proxies count double, see routes). Zero
 	// MaxInflight means DefaultGatewayInflightPerProc per GOMAXPROCS.
@@ -144,6 +141,18 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.WriteQuorum > cfg.Replicas {
 		return nil, fmt.Errorf("cluster: write quorum %d exceeds replicas %d", cfg.WriteQuorum, cfg.Replicas)
 	}
+	if cfg.ShardTimeout <= 0 {
+		cfg.ShardTimeout = DefaultShardTimeout
+	}
+	if cfg.HedgeDelay <= 0 {
+		cfg.HedgeDelay = DefaultHedgeDelay
+	}
+	if cfg.MaxBody <= 0 {
+		cfg.MaxBody = psp.DefaultMaxUpload
+	}
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = DefaultProbeInterval
+	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -206,31 +215,21 @@ func (g *Gateway) removeShard(raw string) (bool, error) {
 	return true, nil
 }
 
-func (g *Gateway) shardTimeout() time.Duration {
-	if g.cfg.ShardTimeout > 0 {
-		return g.cfg.ShardTimeout
-	}
-	return DefaultShardTimeout
-}
-
-func (g *Gateway) hedgeDelay() time.Duration {
-	if g.cfg.HedgeDelay > 0 {
-		return g.cfg.HedgeDelay
-	}
-	return DefaultHedgeDelay
-}
-
-func (g *Gateway) maxBody() int64 {
-	if g.cfg.MaxBody > 0 {
-		return g.cfg.MaxBody
-	}
-	return psp.DefaultMaxUpload
-}
-
 // SetDraining flips the gateway's own healthz to 503 so an upstream load
 // balancer stops routing to it before shutdown. Admission tightens too:
 // requests that would queue are shed immediately.
 func (g *Gateway) SetDraining(v bool) { g.sp.SetDraining(v) }
+
+// members snapshots the current shard set.
+func (g *Gateway) members() []*shard {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	out := make([]*shard, 0, len(g.shards))
+	for _, sh := range g.shards {
+		out = append(out, sh)
+	}
+	return out
+}
 
 // replicaShards returns the shard structs for key's replica set, ring
 // order.
@@ -300,10 +299,54 @@ type shardResp struct {
 	body   []byte
 }
 
-// attempt performs one bounded HTTP exchange with a shard and buffers the
-// response. Bodies over MaxBody surface as errors, never truncated bytes.
-func (g *Gateway) attempt(ctx context.Context, sh *shard, method, pathQuery string, body []byte, hdr http.Header) (*shardResp, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.shardTimeout())
+// retryAfter is the shard's Retry-After hint; zero without a response.
+func (r *shardResp) retryAfter() time.Duration {
+	if r == nil {
+		return 0
+	}
+	return psp.ParseRetryAfter(r.header)
+}
+
+// answer is one shard's outcome, collected from a fan-out goroutine.
+type answer struct {
+	sh   *shard
+	o    psp.Outcome
+	resp *shardResp
+}
+
+// exchange is the gateway's one shard call. It sends a request bounded by
+// ShardTimeout, buffers the response (a body over MaxBody is Down, never
+// truncated bytes) and reads it as exactly one psp.Outcome; resp is nil
+// unless the shard answered. exchange alone feeds the shard's counters and
+// breaker, from one table: Down is a failure, Abandoned counts nothing,
+// and every other outcome is a success. A shard that sheds, 404s or
+// reports a damaged copy is alive, and ejecting it would only push its
+// load onto the others. Shed also counts an overload.
+func (g *Gateway) exchange(ctx context.Context, sh *shard, method, pathQuery string, body []byte, hdr http.Header) (psp.Outcome, *shardResp) {
+	resp, err := g.send(ctx, sh, method, pathQuery, body, hdr)
+	o := psp.Down
+	switch {
+	case err == nil:
+		o = psp.StatusOutcome(resp.status, resp.header.Get(psp.ErrorClassHeader))
+	case ctx.Err() != nil:
+		return psp.Abandoned, nil
+	}
+	sh.requests.Add(1)
+	switch o {
+	case psp.Down:
+		sh.failures.Add(1)
+		sh.breaker.OnFailure()
+		return o, resp
+	case psp.Shed:
+		sh.overloads.Add(1)
+	}
+	sh.breaker.OnSuccess()
+	return o, resp
+}
+
+// send is exchange's transport half.
+func (g *Gateway) send(ctx context.Context, sh *shard, method, pathQuery string, body []byte, hdr http.Header) (*shardResp, error) {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.ShardTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -321,7 +364,7 @@ func (g *Gateway) attempt(ctx context.Context, sh *shard, method, pathQuery stri
 		return nil, err
 	}
 	defer resp.Body.Close()
-	limit := g.maxBody()
+	limit := g.cfg.MaxBody
 	respBody, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, err
@@ -330,6 +373,23 @@ func (g *Gateway) attempt(ctx context.Context, sh *shard, method, pathQuery stri
 		return nil, fmt.Errorf("cluster: response from %s exceeds %d bytes", sh.url, limit)
 	}
 	return &shardResp{status: resp.StatusCode, header: resp.Header, body: respBody}, nil
+}
+
+// fanOut runs one exchange per member in parallel and returns the answers
+// in member order once every exchange has finished.
+func (g *Gateway) fanOut(ctx context.Context, members []*shard, method, pathQuery string, body []byte, hdr http.Header) []answer {
+	out := make([]answer, len(members))
+	var wg sync.WaitGroup
+	for i, sh := range members {
+		wg.Add(1)
+		go func(i int, sh *shard) {
+			defer wg.Done()
+			o, resp := g.exchange(ctx, sh, method, pathQuery, body, hdr)
+			out[i] = answer{sh: sh, o: o, resp: resp}
+		}(i, sh)
+	}
+	wg.Wait()
+	return out
 }
 
 // passthroughHeaders are copied from shard responses verbatim so clients
@@ -369,12 +429,6 @@ func (g *Gateway) writeUnavailable(w http.ResponseWriter, retryAfter time.Durati
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	http.Error(w, msg, http.StatusServiceUnavailable)
-}
-
-// isCorrupt reports whether a shard response carries the corrupt error
-// class: the shard is healthy but its stored copy is damaged.
-func isCorrupt(resp *shardResp) bool {
-	return resp.header.Get(psp.ErrorClassHeader) == psp.ErrorClassCorrupt
 }
 
 // Handler returns the gateway HTTP API. Client-facing routes mirror
@@ -539,15 +593,36 @@ func newUploadKey() string {
 	return hex.EncodeToString(b[:])
 }
 
-// uploadAck is one shard's classified PUT outcome.
+// uploadAck is one shard's PUT outcome as the write quorum sees it.
 type uploadAck struct {
 	sh *shard
 	// ok means the shard durably stored the image under the derived ID.
 	ok bool
-	// repairable marks failures worth re-replicating later (down shard,
-	// 5xx); a deterministic 4xx rejection is not.
+	// repairable marks failures worth re-replicating later; a
+	// deterministic rejection (Missing, Refused) is not.
 	repairable bool
 	resp       *shardResp
+}
+
+// putReplica stores one replica of an upload under id.
+func (g *Gateway) putReplica(sh *shard, id string, body []byte, hdr http.Header) uploadAck {
+	o, resp := g.exchange(context.Background(), sh, http.MethodPut, "/v1/images/"+id, body, hdr)
+	switch o {
+	case psp.Served:
+		var ur psp.UploadResponse
+		if json.Unmarshal(resp.body, &ur) == nil && ur.ID == id {
+			return uploadAck{sh: sh, ok: true}
+		}
+		// The shard acked under a different ID (a pre-existing key
+		// mapping): its copy is not addressable at our ID.
+		g.divergences.Add(1)
+		return uploadAck{sh: sh, repairable: true}
+	case psp.Missing, psp.Refused:
+		return uploadAck{sh: sh, resp: resp}
+	}
+	// Shed, Down or Damaged: the write did not land. The shard's
+	// Retry-After propagates into the quorum-failure hint.
+	return uploadAck{sh: sh, repairable: true, resp: resp}
 }
 
 // uploadOutcome is a replicated upload's result, decoupled from the HTTP
@@ -587,13 +662,7 @@ func (g *Gateway) replicateUpload(body []byte, key, contentType string) uploadOu
 	// under-replicate silently.
 	acks := make(chan uploadAck, len(replicas))
 	for _, sh := range replicas {
-		sh.requests.Add(1)
-		go func(sh *shard) {
-			ctx, cancel := context.WithTimeout(context.Background(), g.shardTimeout())
-			defer cancel()
-			resp, err := g.attempt(ctx, sh, http.MethodPut, "/v1/images/"+id, body, hdr)
-			acks <- g.classifyUpload(sh, id, resp, err)
-		}(sh)
+		go func(sh *shard) { acks <- g.putReplica(sh, id, body, hdr) }(sh)
 	}
 
 	g.uploads.Add(1)
@@ -608,11 +677,7 @@ func (g *Gateway) replicateUpload(body []byte, key, contentType string) uploadOu
 			ackCount++
 		case a.repairable:
 			failed = append(failed, a.sh)
-			if a.resp != nil {
-				if ra := psp.ParseRetryAfter(a.resp.header); ra > retryAfter {
-					retryAfter = ra
-				}
-			}
+			retryAfter = max(retryAfter, a.resp.retryAfter())
 		default:
 			clientErr = a.resp
 		}
@@ -649,7 +714,7 @@ func (g *Gateway) replicateUpload(body []byte, key, contentType string) uploadOu
 }
 
 func (g *Gateway) handleUpload(w http.ResponseWriter, r *http.Request) {
-	body, ok := spine.ReadBody(w, r, g.maxBody())
+	body, ok := spine.ReadBody(w, r, g.cfg.MaxBody)
 	if !ok {
 		return
 	}
@@ -674,7 +739,7 @@ func (g *Gateway) handleUpload(w http.ResponseWriter, r *http.Request) {
 // cluster. Items replicate with bounded concurrency while later parts are
 // still streaming in; results keep item order.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	g.sp.ServeBatch(w, r, g.maxBody(), batchReplicateConcurrency, g.replicateItem)
+	g.sp.ServeBatch(w, r, g.cfg.MaxBody, batchReplicateConcurrency, g.replicateItem)
 }
 
 // replicateItem replicates one batch item. Raw items are wrapped into an
@@ -705,44 +770,6 @@ func (g *Gateway) replicateItem(it spine.BatchItem) psp.BatchResult {
 	return psp.BatchResult{ID: out.id}
 }
 
-// classifyUpload folds one PUT outcome into breaker state and an ack.
-func (g *Gateway) classifyUpload(sh *shard, id string, resp *shardResp, err error) uploadAck {
-	if err != nil {
-		sh.failures.Add(1)
-		sh.breaker.OnFailure()
-		return uploadAck{sh: sh, repairable: true}
-	}
-	switch {
-	case resp.status == http.StatusOK:
-		var ur psp.UploadResponse
-		if json.Unmarshal(resp.body, &ur) == nil && ur.ID == id {
-			sh.breaker.OnSuccess()
-			return uploadAck{sh: sh, ok: true}
-		}
-		// The shard acked under a different ID (a pre-existing key
-		// mapping): its copy is not addressable at our ID.
-		sh.breaker.OnSuccess()
-		g.divergences.Add(1)
-		return uploadAck{sh: sh, repairable: true}
-	case resp.status == http.StatusTooManyRequests:
-		// The shard shed this write under admission control: it is alive
-		// and answering, so the breaker must not treat it as failing —
-		// ejecting a merely-busy shard shifts its load onto the others and
-		// cascades. The write still did not land, so it is repairable, and
-		// the shard's Retry-After propagates into the quorum-failure hint.
-		sh.overloads.Add(1)
-		sh.breaker.OnSuccess()
-		return uploadAck{sh: sh, repairable: true, resp: resp}
-	case resp.status >= 500:
-		sh.failures.Add(1)
-		sh.breaker.OnFailure()
-		return uploadAck{sh: sh, repairable: true, resp: resp}
-	default:
-		sh.breaker.OnSuccess()
-		return uploadAck{sh: sh, resp: resp}
-	}
-}
-
 // handleProxy serves every GET /v1/images/{id}[...] route by trying the
 // replica set in ring order with hedged failover: a replica that errors,
 // 404s, or reports corruption moves the request to the next one, and a
@@ -756,89 +783,56 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 		g.writeUnavailable(w, 0, "cluster: no shards")
 		return
 	}
-	pathQ := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathQ += "?" + r.URL.RawQuery
-	}
+	// RequestURI keeps the client's escaping: a decoded path such as
+	// "/v1/images/%zz" would not parse as a shard URL.
+	pathQ := r.URL.RequestURI()
 	var hdr http.Header
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		hdr = http.Header{"If-None-Match": {inm}}
 	}
 
-	type outcome struct {
-		sh   *shard
-		resp *shardResp
-		err  error
-	}
-	results := make(chan outcome, len(order))
+	results := make(chan answer, len(order))
 	next := 0
 	launch := func() {
 		sh := order[next]
 		next++
-		sh.requests.Add(1)
 		go func() {
-			resp, err := g.attempt(r.Context(), sh, http.MethodGet, pathQ, nil, hdr)
-			results <- outcome{sh: sh, resp: resp, err: err}
+			o, resp := g.exchange(r.Context(), sh, http.MethodGet, pathQ, nil, hdr)
+			results <- answer{sh: sh, o: o, resp: resp}
 		}()
 	}
 	launch()
 	outstanding := 1
-	hedge := time.NewTimer(g.hedgeDelay())
+	hedge := time.NewTimer(g.cfg.HedgeDelay)
 	defer hedge.Stop()
 
 	var missing, corrupt []*shard
 	var corruptResp *shardResp
 	var retryAfter time.Duration
-	n404 := 0
 	for outstanding > 0 {
-		failover := false
 		select {
 		case res := <-results:
 			outstanding--
-			switch {
-			case res.err != nil:
-				res.sh.failures.Add(1)
-				res.sh.breaker.OnFailure()
-				failover = true
-			case res.resp.status == http.StatusOK || res.resp.status == http.StatusNotModified:
-				res.sh.breaker.OnSuccess()
+			switch res.o {
+			case psp.Served:
 				g.serveProxied(w, r, id, res.sh, res.resp, missing, corrupt)
 				return
-			case res.resp.status == http.StatusNotFound:
-				res.sh.breaker.OnSuccess()
-				n404++
-				missing = append(missing, res.sh)
-				failover = true
-			case isCorrupt(res.resp):
-				// The shard is healthy; its stored copy is damaged.
-				res.sh.breaker.OnSuccess()
-				corrupt = append(corrupt, res.sh)
-				corruptResp = res.resp
-				failover = true
-			case res.resp.status == http.StatusTooManyRequests:
-				// Shed by a live shard: fail over to a replica without
-				// charging the breaker — overload is not death.
-				res.sh.overloads.Add(1)
-				res.sh.breaker.OnSuccess()
-				if ra := psp.ParseRetryAfter(res.resp.header); ra > retryAfter {
-					retryAfter = ra
-				}
-				failover = true
-			case res.resp.status >= 500:
-				res.sh.failures.Add(1)
-				res.sh.breaker.OnFailure()
-				if ra := psp.ParseRetryAfter(res.resp.header); ra > retryAfter {
-					retryAfter = ra
-				}
-				failover = true
-			default:
+			case psp.Refused:
 				// Deterministic client error (bad spec, …): every replica
 				// would say the same; pass it through.
-				res.sh.breaker.OnSuccess()
 				writeShardResp(w, res.resp)
 				return
+			case psp.Abandoned:
+				return // the client is gone
+			case psp.Missing:
+				missing = append(missing, res.sh)
+			case psp.Damaged:
+				corrupt = append(corrupt, res.sh)
+				corruptResp = res.resp
+			case psp.Shed, psp.Down:
+				retryAfter = max(retryAfter, res.resp.retryAfter())
 			}
-			if failover && next < len(order) {
+			if next < len(order) {
 				g.failovers.Add(1)
 				launch()
 				outstanding++
@@ -848,7 +842,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 				g.hedges.Add(1)
 				launch()
 				outstanding++
-				hedge.Reset(g.hedgeDelay())
+				hedge.Reset(g.cfg.HedgeDelay)
 			}
 		}
 	}
@@ -856,11 +850,9 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	// Every replica answered and none could serve. If all of them said
 	// 404, the record may still live on a non-replica member (a GET racing
 	// a rebalance): rescue from there and schedule the re-replication.
-	if n404 == len(order) {
+	if len(missing) == len(order) {
 		for _, sh := range g.otherMembers(id) {
-			sh.requests.Add(1)
-			resp, err := g.attempt(r.Context(), sh, http.MethodGet, pathQ, nil, hdr)
-			if err == nil && (resp.status == http.StatusOK || resp.status == http.StatusNotModified) {
+			if o, resp := g.exchange(r.Context(), sh, http.MethodGet, pathQ, nil, hdr); o == psp.Served {
 				g.failovers.Add(1)
 				g.serveProxied(w, r, id, sh, resp, missing, corrupt)
 				return
@@ -887,7 +879,7 @@ func (g *Gateway) serveProxied(w http.ResponseWriter, r *http.Request, id string
 	for _, sh := range corrupt {
 		g.goRepair(id, sh)
 	}
-	if !g.cfg.DisableReadVerify && r.URL.Path == "/v1/images/"+id {
+	if r.URL.Path == "/v1/images/"+id {
 		if etag := resp.header.Get("ETag"); etag != "" && g.markVerified(id) {
 			go g.verifyReplicas(id, etag, from)
 		}
@@ -917,30 +909,27 @@ func (g *Gateway) clearVerified() {
 }
 
 // verifyReplicas is the quorum read check: conditional-GET every other
-// replica with the served ETag. 304 means the replica agrees byte-for-byte
-// (strong validator), 404 triggers read repair, and a 200 with a different
-// validator is a divergence — counted, surfaced in statz, never silently
-// overwritten.
+// replica with the served ETag. A 304 means the replica agrees
+// byte-for-byte (strong validator), Missing triggers read repair, Damaged
+// an async repair, and a 200 with a different validator is a divergence —
+// counted, surfaced in statz, never silently overwritten.
 func (g *Gateway) verifyReplicas(id, etag string, served *shard) {
-	ctx, cancel := context.WithTimeout(context.Background(), 4*g.shardTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), 4*g.cfg.ShardTimeout)
 	defer cancel()
 	hdr := http.Header{"If-None-Match": {etag}}
 	for _, sh := range g.replicaShards(id) {
 		if sh == served {
 			continue
 		}
-		resp, err := g.attempt(ctx, sh, http.MethodGet, "/v1/images/"+id, nil, hdr)
-		if err != nil {
-			continue
-		}
-		switch {
-		case resp.status == http.StatusNotModified:
-			// Replica agrees.
-		case resp.status == http.StatusNotFound:
+		o, resp := g.exchange(ctx, sh, http.MethodGet, "/v1/images/"+id, nil, hdr)
+		switch o {
+		case psp.Served:
+			if resp.header.Get("ETag") != etag {
+				g.divergences.Add(1)
+			}
+		case psp.Missing:
 			g.repairSync(ctx, id, sh)
-		case resp.status == http.StatusOK:
-			g.divergences.Add(1)
-		case isCorrupt(resp):
+		case psp.Damaged:
 			g.goRepair(id, sh)
 		}
 	}
@@ -959,40 +948,14 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 // the union over reachable shards is complete as long as each image keeps
 // one live replica — the same condition reads need anyway.
 func (g *Gateway) mergedIDs(ctx context.Context) (ids []string, reachable int) {
-	g.mu.RLock()
-	members := make([]*shard, 0, len(g.shards))
-	for _, sh := range g.shards {
-		members = append(members, sh)
-	}
-	g.mu.RUnlock()
-	type listResult struct {
-		ids []string
-		ok  bool
-	}
-	results := make(chan listResult, len(members))
-	for _, sh := range members {
-		go func(sh *shard) {
-			resp, err := g.attempt(ctx, sh, http.MethodGet, "/v1/images", nil, nil)
-			if err != nil || resp.status != http.StatusOK {
-				results <- listResult{}
-				return
-			}
-			var lr psp.ListResponse
-			if json.Unmarshal(resp.body, &lr) != nil {
-				results <- listResult{}
-				return
-			}
-			results <- listResult{ids: lr.IDs, ok: true}
-		}(sh)
-	}
 	set := make(map[string]bool)
-	for range members {
-		res := <-results
-		if !res.ok {
+	for _, res := range g.fanOut(ctx, g.members(), http.MethodGet, "/v1/images", nil, nil) {
+		var lr psp.ListResponse
+		if res.o != psp.Served || json.Unmarshal(res.resp.body, &lr) != nil {
 			continue
 		}
 		reachable++
-		for _, id := range res.ids {
+		for _, id := range lr.IDs {
 			set[id] = true
 		}
 	}

@@ -398,7 +398,7 @@ func TestGatewayHeaderPassthrough(t *testing.T) {
 			defer stub.Close()
 			gw, err := New(Config{
 				Shards: []string{stub.URL}, Replicas: 1, WriteQuorum: 1,
-				ShardTimeout: time.Second, DisableReadVerify: true,
+				ShardTimeout: time.Second,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -442,7 +442,7 @@ func TestGatewayTypedErrorsThroughClient(t *testing.T) {
 	defer stub.Close()
 	gw, err := New(Config{
 		Shards: []string{stub.URL}, Replicas: 1, WriteQuorum: 1,
-		ShardTimeout: time.Second, DisableReadVerify: true,
+		ShardTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

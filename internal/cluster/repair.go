@@ -30,7 +30,7 @@ func (g *Gateway) goRepair(id string, target *shard) {
 			delete(g.repairInflight, key)
 			g.repairMu.Unlock()
 		}()
-		ctx, cancel := context.WithTimeout(context.Background(), 4*g.shardTimeout())
+		ctx, cancel := context.WithTimeout(context.Background(), 4*g.cfg.ShardTimeout)
 		defer cancel()
 		g.repairSync(ctx, id, target)
 	}()
@@ -49,12 +49,12 @@ func (g *Gateway) repairSync(ctx context.Context, id string, target *shard) bool
 		if src == target {
 			continue
 		}
-		resp, err := g.attempt(ctx, src, http.MethodGet, "/v1/images/"+id, nil, nil)
-		if err != nil || resp.status != http.StatusOK {
+		o, resp := g.exchange(ctx, src, http.MethodGet, "/v1/images/"+id, nil, nil)
+		if o != psp.Served {
 			continue
 		}
-		presp, err := g.attempt(ctx, src, http.MethodGet, "/v1/images/"+id+"/params", nil, nil)
-		if err != nil || presp.status != http.StatusOK {
+		o, presp := g.exchange(ctx, src, http.MethodGet, "/v1/images/"+id+"/params", nil, nil)
+		if o != psp.Served {
 			continue
 		}
 		var params json.RawMessage
@@ -65,24 +65,19 @@ func (g *Gateway) repairSync(ctx context.Context, id string, target *shard) bool
 		if err != nil {
 			return false
 		}
-		put, err := g.attempt(ctx, target, http.MethodPut, "/v1/images/"+id, body,
+		o, put := g.exchange(ctx, target, http.MethodPut, "/v1/images/"+id, body,
 			http.Header{"Content-Type": {"application/json"}})
-		if err != nil {
-			return false
-		}
-		switch put.status {
-		case http.StatusOK:
+		switch {
+		case o == psp.Served:
 			g.readRepairs.Add(1)
 			target.readRepairs.Add(1)
 			return true
-		case http.StatusConflict:
+		case o == psp.Refused && put.status == http.StatusConflict:
 			// Target holds different bytes under this ID. Never overwrite
 			// silently; surface it as a divergence.
 			g.divergences.Add(1)
-			return false
-		default:
-			return false
 		}
+		return false
 	}
 	return false
 }
@@ -121,8 +116,7 @@ func (g *Gateway) RepairAll(ctx context.Context) (RepairReport, error) {
 			rep.Checked++
 			// Existence probe via /params: cheap (tiny body) and 404 is
 			// authoritative for the whole record.
-			resp, err := g.attempt(ctx, sh, http.MethodGet, "/v1/images/"+id+"/params", nil, nil)
-			if err != nil || resp.status != http.StatusNotFound {
+			if o, _ := g.exchange(ctx, sh, http.MethodGet, "/v1/images/"+id+"/params", nil, nil); o != psp.Missing {
 				continue
 			}
 			if g.repairSync(ctx, id, sh) {
@@ -244,12 +238,8 @@ func (g *Gateway) handleShardsPost(w http.ResponseWriter, r *http.Request) {
 // re-arms read verification so post-recovery GETs re-check replica
 // agreement. Start returns immediately; probing stops when ctx is done.
 func (g *Gateway) Start(ctx context.Context) {
-	interval := g.cfg.ProbeInterval
-	if interval <= 0 {
-		interval = DefaultProbeInterval
-	}
 	go func() {
-		ticker := time.NewTicker(interval)
+		ticker := time.NewTicker(g.cfg.ProbeInterval)
 		defer ticker.Stop()
 		for {
 			select {
@@ -264,34 +254,18 @@ func (g *Gateway) Start(ctx context.Context) {
 
 // probeOnce health-checks every shard in parallel and waits for the round.
 func (g *Gateway) probeOnce(ctx context.Context) {
-	g.mu.RLock()
-	members := make([]*shard, 0, len(g.shards))
-	for _, sh := range g.shards {
-		members = append(members, sh)
+	members := g.members()
+	ejected := make([]bool, len(members))
+	for i, sh := range members {
+		ejected[i] = sh.breaker.State() != BreakerClosed
 	}
-	g.mu.RUnlock()
-	done := make(chan struct{}, len(members))
-	for _, sh := range members {
-		go func(sh *shard) {
-			defer func() { done <- struct{}{} }()
-			sh.requests.Add(1)
-			resp, err := g.attempt(ctx, sh, http.MethodGet, "/v1/healthz", nil, nil)
-			if err != nil || resp.status != http.StatusOK {
-				sh.failures.Add(1)
-				sh.breaker.OnFailure()
-				return
-			}
-			wasEjected := sh.breaker.State() != BreakerClosed
-			sh.breaker.OnSuccess()
-			if wasEjected {
-				// The shard may have restarted with holes (e.g. writes it
-				// missed while down): make reads re-verify replica
-				// agreement so read repair can fill them.
-				g.clearVerified()
-			}
-		}(sh)
-	}
-	for range members {
-		<-done
+	g.fanOut(ctx, members, http.MethodGet, "/v1/healthz", nil, nil)
+	for i, sh := range members {
+		if ejected[i] && sh.breaker.State() == BreakerClosed {
+			// The shard may have restarted with holes (e.g. writes it
+			// missed while down): make reads re-verify replica agreement
+			// so read repair can fill them.
+			g.clearVerified()
+		}
 	}
 }

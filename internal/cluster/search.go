@@ -25,102 +25,51 @@ import (
 // complete answer from a healthy shard, not a failure; the query only 404s
 // overall when every reachable shard said so.
 
-// searchOutcome is one shard's classified /v1/search answer. A zero value
-// means the shard could not answer (unreachable, overloaded, or 5xx).
-type searchOutcome struct {
-	resp       *psp.SearchResponse
-	notFound   bool
-	clientResp *shardResp
-}
-
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var body []byte
 	if r.Method == http.MethodPost {
 		var ok bool
-		if body, ok = spine.ReadBody(w, r, g.maxBody()); !ok {
+		if body, ok = spine.ReadBody(w, r, g.cfg.MaxBody); !ok {
 			return
 		}
 	}
-	pathQ := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathQ += "?" + r.URL.RawQuery
-	}
+	pathQ := r.URL.RequestURI()
 	var hdr http.Header
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		hdr = http.Header{"Content-Type": {ct}}
 	}
 
-	g.mu.RLock()
-	members := make([]*shard, 0, len(g.shards))
-	for _, sh := range g.shards {
-		members = append(members, sh)
-	}
-	g.mu.RUnlock()
+	members := g.members()
 	if len(members) == 0 {
 		g.writeUnavailable(w, 0, "cluster: no shards")
 		return
 	}
 
-	results := make(chan searchOutcome, len(members))
-	for _, sh := range members {
-		sh.requests.Add(1)
-		go func(sh *shard) {
-			// attempt applies the per-shard timeout; one slow or partitioned
-			// shard delays the merge at most that long.
-			resp, err := g.attempt(r.Context(), sh, r.Method, pathQ, body, hdr)
-			if err != nil {
-				sh.failures.Add(1)
-				sh.breaker.OnFailure()
-				results <- searchOutcome{}
-				return
-			}
-			switch {
-			case resp.status == http.StatusOK:
-				sh.breaker.OnSuccess()
-				var sr psp.SearchResponse
-				if json.Unmarshal(resp.body, &sr) != nil {
-					sh.failures.Add(1)
-					results <- searchOutcome{}
-					return
-				}
-				results <- searchOutcome{resp: &sr}
-			case resp.status == http.StatusNotFound:
-				sh.breaker.OnSuccess()
-				results <- searchOutcome{notFound: true}
-			case resp.status == http.StatusTooManyRequests:
-				sh.overloads.Add(1)
-				sh.breaker.OnSuccess()
-				results <- searchOutcome{}
-			case resp.status >= 500:
-				sh.failures.Add(1)
-				sh.breaker.OnFailure()
-				results <- searchOutcome{}
-			default:
-				// Deterministic client error (bad k, undecodable query body):
-				// every shard would say the same.
-				sh.breaker.OnSuccess()
-				results <- searchOutcome{clientResp: resp}
-			}
-		}(sh)
-	}
-
 	best := make(map[string]uint32)
 	answered, notFound := 0, 0
 	var clientResp *shardResp
-	for range members {
-		res := <-results
-		switch {
-		case res.resp != nil:
+	// exchange applies the per-shard timeout; one slow or partitioned shard
+	// delays the merge at most that long.
+	for _, res := range g.fanOut(r.Context(), members, r.Method, pathQ, body, hdr) {
+		switch res.o {
+		case psp.Served:
+			var sr psp.SearchResponse
+			if json.Unmarshal(res.resp.body, &sr) != nil {
+				continue
+			}
 			answered++
-			for _, hit := range res.resp.Results {
+			for _, hit := range sr.Results {
 				if d, ok := best[hit.ID]; !ok || hit.Distance < d {
 					best[hit.ID] = hit.Distance
 				}
 			}
-		case res.notFound:
+		case psp.Missing:
 			notFound++
-		case res.clientResp != nil:
-			clientResp = res.clientResp
+		case psp.Refused, psp.Damaged:
+			// A deterministic client error (bad k, undecodable query body)
+			// every shard would repeat, or the queried image's stored copy
+			// is damaged: passed through when no shard answered.
+			clientResp = res.resp
 		}
 	}
 

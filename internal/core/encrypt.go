@@ -190,13 +190,15 @@ func (s *Scheme) EncryptImage(img *jpegc.Image, regions []RegionAssignment) (*Pu
 
 func (s *Scheme) encryptRegion(img *jpegc.Image, roi ROI, pairs []*keys.Pair) (*RegionParams, *Stats, error) {
 	_, _, bw, _ := roi.Blocks()
+	recordSupport := s.params.Variant == VariantZ && s.params.TransformSupport
 	rp := &RegionParams{
-		ROI:     roi,
-		Variant: s.params.Variant,
-		MR:      s.params.MR,
-		K:       s.params.K,
-		Wrap:    s.params.wrap(),
-		BaseBW:  bw,
+		ROI:             roi,
+		Variant:         s.params.Variant,
+		MR:              s.params.MR,
+		K:               s.params.K,
+		Wrap:            s.params.wrap(),
+		BaseBW:          bw,
+		SupportRecorded: recordSupport,
 	}
 	if len(pairs) == 1 {
 		rp.KeyID = pairs[0].ID
@@ -207,7 +209,6 @@ func (s *Scheme) encryptRegion(img *jpegc.Image, roi ROI, pairs []*keys.Pair) (*
 		}
 	}
 	recordWraps := s.params.wrap() == WrapRecorded
-	recordSupport := s.params.Variant == VariantZ && s.params.TransformSupport
 	variantZ := s.params.Variant == VariantZ
 
 	// Per-pair AC delta tables, computed once per region instead of once per

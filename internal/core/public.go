@@ -169,6 +169,11 @@ type RegionParams struct {
 	// reconstruction needs it because the receiver of a transformed image
 	// cannot see which stored coefficients were zero.
 	Support PosList `json:"support,omitempty"`
+	// SupportRecorded marks a region whose Support was recorded, so an
+	// empty list (no block of the region has a nonzero AC coefficient) is
+	// told apart from one never recorded. Documents written before the
+	// flag carry a non-empty Support alone.
+	SupportRecorded bool `json:"supportRecorded,omitempty"`
 
 	// BaseBX/BaseBY/BaseBW locate this region inside the original region's
 	// block grid; they change only when the PSP crops the image. The DC

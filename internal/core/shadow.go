@@ -77,7 +77,7 @@ func addRegionShadow(natives []*imgplane.Plane, pd *PublicData, rp *RegionParams
 	if err != nil {
 		return err
 	}
-	if rp.Variant == VariantZ && len(rp.Support) == 0 {
+	if rp.Variant == VariantZ && !rp.SupportRecorded && len(rp.Support) == 0 {
 		return fmt.Errorf("core: %s region has no support list; encrypt with TransformSupport for pixel-domain recovery", rp.Variant)
 	}
 

@@ -77,25 +77,69 @@ func (e *StatusError) Error() string {
 	return msg
 }
 
-// Is maps HTTP status classes onto the package sentinels so that
+// Outcome is what one PSP answer means to its caller. StatusOutcome reads
+// it from the status code and error class; the cluster gateway feeds its
+// breakers from it and StatusError.Is derives the client's sentinels from
+// it, so the two cannot disagree on what a corrupt 500 or a 429 means.
+type Outcome uint8
+
+const (
+	// Served is a 200 or a 304.
+	Served Outcome = iota
+	// Missing is a 404: a complete answer from a healthy server.
+	Missing
+	// Damaged carries the corrupt error class: the server is healthy, its
+	// stored copy is not, and retrying the same route will not help.
+	Damaged
+	// Shed is a 429: the server is alive but refused the work under
+	// admission control.
+	Shed
+	// Down is any other 5xx; a caller also reports a transport error or an
+	// attempt timeout as Down.
+	Down
+	// Refused is any other status: a deterministic rejection of the
+	// request that every replica would repeat.
+	Refused
+	// Abandoned is never read from a status: the caller's own context
+	// ended before the answer arrived.
+	Abandoned
+)
+
+// StatusOutcome maps a status code and its X-PSP-Error-Class to an Outcome.
+func StatusOutcome(code int, class string) Outcome {
+	switch {
+	case code == http.StatusOK || code == http.StatusNotModified:
+		return Served
+	case code == http.StatusNotFound:
+		return Missing
+	case class == errorClassCorrupt:
+		return Damaged
+	case code == http.StatusTooManyRequests:
+		return Shed
+	case code >= 500:
+		return Down
+	default:
+		return Refused
+	}
+}
+
+// Is maps the response's Outcome onto the package sentinels so that
 // errors.Is(err, ErrRetryable) etc. work on status errors. A 5xx tagged
 // with the corrupt class is ErrCorrupt and not retryable: the server is
 // healthy, its stored copy of the image is not.
 func (e *StatusError) Is(target error) bool {
+	o := StatusOutcome(e.Code, e.Class)
 	switch target {
 	case ErrRetryable:
-		if e.Class == errorClassCorrupt {
-			return false
-		}
-		return e.Code >= 500 || e.Code == http.StatusTooManyRequests
+		return o == Down || o == Shed
 	case ErrNotFound:
-		return e.Code == http.StatusNotFound
+		return o == Missing
 	case ErrCorrupt:
-		return e.Class == errorClassCorrupt
+		return o == Damaged
 	case ErrTooLarge:
 		return e.Code == http.StatusRequestEntityTooLarge
 	case ErrOverloaded:
-		return e.Code == http.StatusTooManyRequests
+		return o == Shed
 	}
 	return false
 }

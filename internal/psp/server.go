@@ -373,18 +373,7 @@ func (s *Server) handlePutImage(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// An existing record under this ID decides the request without a
-	// store write: identical bytes are an idempotent success, different
-	// bytes are a conflict that must never be silently overwritten.
-	if jpeg, params, ok, err := s.st().Get(id); err != nil {
-		httpError(w, http.StatusInternalServerError, "store: %v", err)
-		return
-	} else if ok {
-		if bytes.Equal(jpeg, req.Image) && paramsEqual(params, req.Params) {
-			writeUploadResponse(w, BatchResult{ID: id})
-			return
-		}
-		httpError(w, http.StatusConflict, "image %q already stored with different content", id)
+	if s.answerStored(w, id, req) {
 		return
 	}
 
@@ -400,21 +389,34 @@ func (s *Server) handlePutImage(w http.ResponseWriter, r *http.Request) {
 	canonical, err := s.st().Put(id, req.Image, req.Params, key)
 	if err != nil {
 		// A concurrent PUT may have stored the ID between the check and
-		// the write (blobstore refuses duplicate IDs). Re-read and apply
+		// the write (every Store refuses duplicate IDs). Re-read and apply
 		// the same compare-on-conflict rule instead of failing the retry.
-		if jpeg, params, ok, gerr := s.st().Get(id); gerr == nil && ok {
-			if bytes.Equal(jpeg, req.Image) && paramsEqual(params, req.Params) {
-				writeUploadResponse(w, BatchResult{ID: id})
-				return
-			}
-			httpError(w, http.StatusConflict, "image %q already stored with different content", id)
-			return
+		if !s.answerStored(w, id, req) {
+			httpError(w, http.StatusInternalServerError, "store: %v", err)
 		}
-		httpError(w, http.StatusInternalServerError, "store: %v", err)
 		return
 	}
 	s.searchIdx().Add(canonical, sig)
 	writeUploadResponse(w, BatchResult{ID: canonical})
+}
+
+// answerStored applies handlePutImage's compare-on-conflict rule when id is
+// already stored: identical bytes are an idempotent success, different
+// bytes a conflict that must never be silently overwritten. It reports
+// whether it answered the request.
+func (s *Server) answerStored(w http.ResponseWriter, id string, req UploadRequest) bool {
+	jpeg, params, ok, err := s.st().Get(id)
+	switch {
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, "store: %v", err)
+	case !ok:
+		return false
+	case bytes.Equal(jpeg, req.Image) && paramsEqual(params, req.Params):
+		writeUploadResponse(w, BatchResult{ID: id})
+	default:
+		httpError(w, http.StatusConflict, "image %q already stored with different content", id)
+	}
+	return true
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *entry {

@@ -2,6 +2,7 @@ package psp
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -13,9 +14,11 @@ import (
 //
 // Contract: Put either persists (id, jpeg, params) and returns id, or — when
 // key is non-empty and already assigned — returns the original id without
-// storing a duplicate. Put must be atomic with respect to the key index so
-// concurrent retries of one upload cannot both store. Byte slices returned
-// by Get alias store-internal buffers and must not be mutated.
+// storing a duplicate. Put refuses an id that is already stored with an
+// error and never overwrites it. Put must be atomic with respect to the key
+// index and the id set, so concurrent retries of one upload cannot both
+// store and concurrent writers of one id cannot both succeed. Byte slices
+// returned by Get alias store-internal buffers and must not be mutated.
 type Store interface {
 	Put(id string, jpeg, params []byte, key string) (string, error)
 	Get(id string) (jpeg, params []byte, ok bool, err error)
@@ -65,6 +68,9 @@ func (m *MemStore) Put(id string, jpeg, params []byte, key string) (string, erro
 		if prev, ok := m.keys.get(key); ok {
 			return prev, nil
 		}
+	}
+	if _, ok := m.entries[id]; ok {
+		return "", fmt.Errorf("psp: id %q already stored", id)
 	}
 	m.entries[id] = &entry{jpeg: jpeg, params: params}
 	if key != "" {

@@ -12,9 +12,52 @@ import (
 	"testing"
 	"time"
 
+	"puppies/internal/blobstore"
 	"puppies/internal/core"
 	"puppies/internal/jpegc"
 )
+
+// TestStoresRefuseDuplicateID runs the Store contract's duplicate-ID rule
+// over both implementations: a second Put of a stored ID fails and the
+// first bytes stay, while a retry under an assigned key still answers the
+// original ID.
+func TestStoresRefuseDuplicateID(t *testing.T) {
+	stores := []struct {
+		name string
+		open func(t *testing.T) Store
+	}{
+		{"mem", func(t *testing.T) Store { return NewMemStore() }},
+		{"blob", func(t *testing.T) Store {
+			st, _, err := blobstore.Open(t.TempDir(), blobstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = st.Close() }) // nothing left to flush at test end
+			return st
+		}},
+	}
+	for _, tt := range stores {
+		t.Run(tt.name, func(t *testing.T) {
+			st := tt.open(t)
+			if _, err := st.Put("x", []byte("a"), nil, "k"); err != nil {
+				t.Fatal(err)
+			}
+			if id, err := st.Put("x", []byte("b"), nil, ""); err == nil {
+				t.Fatalf("second Put of x = %q, nil; want an error", id)
+			}
+			if id, err := st.Put("x", []byte("b"), nil, "k"); err != nil || id != "x" {
+				t.Fatalf("retry under key k = %q, %v; want x, nil", id, err)
+			}
+			jpeg, _, ok, err := st.Get("x")
+			if err != nil || !ok || string(jpeg) != "a" {
+				t.Fatalf("Get(x) = %q, %v, %v; want the first bytes", jpeg, ok, err)
+			}
+			if st.Len() != 1 {
+				t.Fatalf("Len = %d, want 1", st.Len())
+			}
+		})
+	}
+}
 
 func TestMemStoreKeyIndexLRUCap(t *testing.T) {
 	m := NewMemStoreBounded(3, 0, nil)

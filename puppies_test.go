@@ -274,3 +274,45 @@ func TestUnprotectTransformedPixelsScale(t *testing.T) {
 		t.Errorf("scaled recovery PSNR %.1f dB in region", p)
 	}
 }
+
+// TestUnprotectTransformedPixelsFlatZRegion covers a VariantZ region whose
+// blocks have no nonzero AC coefficient: its recorded support list is empty,
+// and pixel-domain recovery must still accept it.
+func TestUnprotectTransformedPixelsFlatZRegion(t *testing.T) {
+	src := image.NewRGBA(image.Rect(0, 0, 128, 128))
+	for i := range src.Pix {
+		src.Pix[i] = 128
+	}
+	region := Rect{X: 64, Y: 64, W: 32, H: 32}
+	prot, err := Protect(src, ProtectOptions{
+		Regions: []Rect{region}, Variant: VariantZ, TransformSupport: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := TransformSpec{Op: "scale", FactorX: 0.5, FactorY: 0.5}
+	plnr, err := PSPTransformPixels(prot.JPEG, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := UnprotectTransformedPixels(plnr, prot.Params, spec, prot.Keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := Rect{X: region.X / 2, Y: region.Y / 2, W: region.W / 2, H: region.H / 2}
+	if p := rectPSNR(t, src, rec, half); p < 40 {
+		t.Errorf("flat region recovery PSNR %.1f dB", p)
+	}
+
+	// Without TransformSupport no list was recorded, and recovery refuses.
+	unsupported, err := Protect(src, ProtectOptions{Regions: []Rect{region}, Variant: VariantZ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plnr, err = PSPTransformPixels(unsupported.JPEG, spec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnprotectTransformedPixels(plnr, unsupported.Params, spec, unsupported.Keys); err == nil {
+		t.Error("flat region protected without TransformSupport was recovered in the pixel domain")
+	}
+}
