@@ -21,13 +21,15 @@ test:
 # matrix) with its daemon, the serving spine both daemons share (admission
 # wrapper, batch reader), the parallel-pipeline determinism suite, the
 # reduced-IDCT kernels and transform planner (parallel scaled decode +
-# worker-count determinism), multi-pair parallel encryption through both
+# worker-count determinism), the region key schedule in internal/core
+# (encrypt, decrypt and shadow visits run concurrently with per-chunk
+# state), multi-pair parallel encryption through both
 # facade protect entry points, the restart-segment and scaled-decode
 # parallel plane fills, the encoder's parallel nonzero-mask pass (reference
 # walk and range rejection), and the allocation and coefficient-byte bounds
 # under -race.
 race:
-	$(GO) test -race -count=1 ./internal/psp/... ./internal/servecache/... ./internal/faults/... ./internal/blobstore/... ./internal/cluster/... ./internal/admission/... ./internal/spine/... ./internal/stats/... ./internal/loadgen/... ./internal/searchidx/... ./internal/dct/... ./internal/transform/... ./cmd/pspd/... ./cmd/pspgw/...
+	$(GO) test -race -count=1 ./internal/psp/... ./internal/servecache/... ./internal/faults/... ./internal/blobstore/... ./internal/cluster/... ./internal/admission/... ./internal/spine/... ./internal/stats/... ./internal/loadgen/... ./internal/searchidx/... ./internal/dct/... ./internal/transform/... ./internal/core/... ./cmd/pspd/... ./cmd/pspgw/...
 	$(GO) test -race -count=1 -run 'TestParallelDeterminism|TestProtectRecoverAllocBudget|TestProtectMultiKeyPerRegion|TestProtectKeysPerRegionValidation' .
 	$(GO) test -race -count=1 -run 'TestRestart|TestToPlanarScaled|TestNative420CoeffBytes|TestEncodeMatchesReferenceWalk|TestEncodeRejectsOutOfRangeCoefficients' ./internal/jpegc
 

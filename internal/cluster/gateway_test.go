@@ -247,6 +247,49 @@ func TestGatewayUploadIdempotentRetry(t *testing.T) {
 	}
 }
 
+// TestGatewayUploadReusedKeyConflicts: the gateway derives the image ID
+// from the Idempotency-Key, so a second upload of other bytes under the
+// same key must come back 409 from every replica, not as an ack of the
+// first image.
+func TestGatewayUploadReusedKeyConflicts(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	a := testJPEG(t)
+	img, err := jpegc.Decode(bytes.NewReader(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := img.Encode(&buf, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized}); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	if bytes.Equal(a, b) {
+		t.Fatal("re-encode produced identical bytes")
+	}
+
+	id := tc.upload(t, a, "key-reuse")
+	// The client is acked at quorum 2; the third replica lands async, and
+	// every replica must hold the first image before the reuse can conflict
+	// on all of them.
+	waitFor(t, 3*time.Second, "full replication", func() bool {
+		for _, u := range tc.gw.ReplicaOrder(id) {
+			if !shardHas(t, u, id, a) {
+				return false
+			}
+		}
+		return true
+	})
+	if _, status, body := tc.tryUpload(t, b, "key-reuse"); status != http.StatusConflict {
+		t.Fatalf("reused key with other bytes: HTTP %d (%s), want 409", status, body)
+	}
+	if status, _, got := getBytes(t, tc.srv.URL+"/v1/images/"+id, nil); status != http.StatusOK || !bytes.Equal(got, a) {
+		t.Fatalf("GET %s: HTTP %d, first image kept = %v", id, status, bytes.Equal(got, a))
+	}
+	if got := tc.upload(t, a, "key-reuse"); got != id {
+		t.Fatalf("identical replay assigned %q, want %q", got, id)
+	}
+}
+
 func TestGatewayUploadQuorumFailure(t *testing.T) {
 	tc := newTestCluster(t, 3, nil)
 	id := deriveID("key-quorum-fail")

@@ -6,7 +6,6 @@ import (
 	"puppies/internal/dct"
 	"puppies/internal/jpegc"
 	"puppies/internal/keys"
-	"puppies/internal/parallel"
 	"puppies/internal/transform"
 )
 
@@ -24,67 +23,40 @@ func DecryptRegion(img *jpegc.Image, rp *RegionParams, pair *keys.Pair) error {
 	if pair.ID != rp.KeyID {
 		return fmt.Errorf("core: key %s does not match region key %s", pair.ID, rp.KeyID)
 	}
-	return decryptRegionBlocks(img, rp, func(int) *keys.Pair { return pair })
+	return decryptRegionBlocks(img, rp, []*keys.Pair{pair})
 }
 
-// decryptRegionBlocks reverses the perturbation of every block whose pair
-// is resolvable; getPair returns nil for blocks whose key the receiver does
-// not hold (those stay perturbed).
-func decryptRegionBlocks(img *jpegc.Image, rp *RegionParams, getPair func(k int) *keys.Pair) error {
+// decryptRegionBlocks reverses the perturbation of every block whose stripe
+// key is held; pairs has one entry per rp.AllKeyIDs(), nil for keys the
+// receiver does not hold (those stripes stay perturbed).
+func decryptRegionBlocks(img *jpegc.Image, rp *RegionParams, pairs []*keys.Pair) error {
 	if err := img.Validate(); err != nil {
 		return err
 	}
 	if err := rp.ROI.Validate(img.W, img.H); err != nil {
 		return err
 	}
-	sch, err := NewScheme(Params{Variant: rp.Variant, MR: rp.MR, K: rp.K, Wrap: rp.Wrap})
+	rs, err := newRegionSchedule(rp, pairs, samplingOf(img), len(img.Comps))
 	if err != nil {
 		return err
 	}
-
-	_, _, bw, bh := rp.ROI.Blocks()
-	baseBW := rp.BaseBW
-	if baseBW == 0 {
-		baseBW = bw
-	}
-	zind := newPosBitset(rp.ZInd, len(img.Comps), rp, bw, bh, baseBW)
+	zind := newPosBitset(rp.ZInd, rs)
 	defer zind.release()
 	variantZ := rp.Variant == VariantZ
 
-	// (channel, block-row) units mutate disjoint blocks in place; no output
-	// ordering is involved, so results are identical at any worker count.
-	// Windows mirror the encrypt-side projection: subsampled chroma walks
-	// its native (smaller) block window, keyed by the co-located luma block.
-	wins := imageWindows(img, rp.ROI)
-	offs := rowOffsets(wins)
-	parallel.For(offs[len(wins)], regionRowGrain, func(lo, hi int) {
-		cache := newDeltaCache(sch)
-		for r := lo; r < hi; r++ {
-			ci, wy := rowComp(offs, r)
-			w := &wins[ci]
-			comp := &img.Comps[ci]
-			for wx := 0; wx < w.cbw; wx++ {
-				lbx, lby := w.lumaBlock(wx, wy)
-				k := (rp.BaseBY+lby)*baseBW + (rp.BaseBX + lbx)
-				pair := getPair(k)
-				if pair == nil {
-					continue
-				}
-				tbl := cache.table(pair)
-				b := comp.Block(w.cbx0+wx, w.cby0+wy)
-
-				b[0] = wrapSub(b[0], sch.dcDelta(pair, k), dcOffset, dcModulus)
-
-				for _, zz8 := range tbl.Active {
-					zz := int(zz8)
-					nat := dct.ZigZag[zz]
-					// A stored zero was perturbed only if recorded in ZInd.
-					if variantZ && b[nat] == 0 && !zind.test(ci, k, zz) {
-						continue
-					}
-					b[nat] = wrapSub(b[nat], tbl.Deltas[zz], acOffset, acModulus)
-				}
+	// Blocks are mutated in place, each by exactly one visit, so the result
+	// is identical at any worker count.
+	walkRegion(rs, func(_ *struct{}, v blockVisit) {
+		b := img.Comps[v.ci].Block(v.cbx, v.cby)
+		b[0] = wrapSub(b[0], rs.scheme.dcDelta(v.pair, v.k), dcOffset, dcModulus)
+		for _, zz8 := range v.tbl.Active {
+			zz := int(zz8)
+			nat := dct.ZigZag[zz]
+			// A stored zero was perturbed only if recorded in ZInd.
+			if variantZ && b[nat] == 0 && !zind.test(v.ci, v.k, zz) {
+				continue
 			}
+			b[nat] = wrapSub(b[nat], v.tbl.Deltas[zz], acOffset, acModulus)
 		}
 	})
 	return nil
@@ -108,24 +80,14 @@ func DecryptImage(img *jpegc.Image, pd *PublicData, pairs map[string]*keys.Pair)
 	n := 0
 	for i := range pd.Regions {
 		rp := &pd.Regions[i]
-		full, any := true, false
-		for _, id := range rp.AllKeyIDs() {
-			if _, ok := pairs[id]; ok {
-				any = true
-			} else {
-				full = false
-			}
-		}
-		if !any {
+		held, count := heldPairs(rp, pairs)
+		if count == 0 {
 			continue
 		}
-		err := decryptRegionBlocks(img, rp, func(k int) *keys.Pair {
-			return pairs[rp.KeyIDForBlock(k)]
-		})
-		if err != nil {
+		if err := decryptRegionBlocks(img, rp, held); err != nil {
 			return n, fmt.Errorf("core: region %d: %w", i, err)
 		}
-		if full {
+		if count == len(held) {
 			n++
 		}
 	}
@@ -245,16 +207,10 @@ func CropPublicData(pd *PublicData, x, y, w, h int) (*PublicData, error) {
 		if !ok {
 			continue
 		}
-		baseBW := rp.BaseBW
-		if baseBW == 0 {
-			baseBW = rp.ROI.W / dct.BlockSize
-		}
+		rp.BaseBW = rp.baseBW()
 		// Block offset of the surviving part inside the original region grid.
-		dBX := (inter.X - rp.ROI.X) / dct.BlockSize
-		dBY := (inter.Y - rp.ROI.Y) / dct.BlockSize
-		rp.BaseBX += dBX
-		rp.BaseBY += dBY
-		rp.BaseBW = baseBW
+		rp.BaseBX += (inter.X - rp.ROI.X) / dct.BlockSize
+		rp.BaseBY += (inter.Y - rp.ROI.Y) / dct.BlockSize
 		rp.ROI = ROI{X: inter.X - x, Y: inter.Y - y, W: inter.W, H: inter.H}
 		out.Regions = append(out.Regions, rp)
 	}

@@ -6,14 +6,8 @@ import (
 	"puppies/internal/dct"
 	"puppies/internal/jpegc"
 	"puppies/internal/keys"
-	"puppies/internal/parallel"
 	"puppies/internal/transform"
 )
-
-// regionRowGrain is the parallel chunk size for region loops, in
-// (channel, block-row) units. Chunk boundaries depend only on the region
-// size, so results are deterministic at any worker count.
-const regionRowGrain = 4
 
 // Scheme is a configured PuPPIeS encryptor.
 type Scheme struct {
@@ -208,87 +202,62 @@ func (s *Scheme) encryptRegion(img *jpegc.Image, roi ROI, pairs []*keys.Pair) (*
 			rp.KeyIDs[i] = p.ID
 		}
 	}
-	recordWraps := s.params.wrap() == WrapRecorded
-	variantZ := s.params.Variant == VariantZ
-
-	// Per-pair AC delta tables, computed once per region instead of once per
-	// coefficient (the range-matrix modulo chain is block-invariant).
-	tables := make([]acDeltas, len(pairs))
-	for i := range pairs {
-		tables[i] = s.acDeltaTable(pairs[i])
+	rs, err := newRegionSchedule(rp, pairs, samplingOf(img), len(img.Comps))
+	if err != nil {
+		return nil, nil, err
 	}
+	recordWraps := rp.Wrap == WrapRecorded
+	variantZ := rp.Variant == VariantZ
 
-	// (channel, block-row) units are independent: each writes a disjoint set
-	// of blocks and collects its own stats and index lists. Chunk results are
-	// merged in chunk order below, reproducing the exact (ci, by, bx, zz)
-	// append order of the serial loop at any worker count. Subsampled chroma
-	// contributes its (smaller) window rows to the flattened range; on 4:4:4
-	// images every window equals the luma rect, so the chunking — and the
-	// output — is bit-identical to the legacy ci*bh+by walk.
-	wins := imageWindows(img, roi)
-	offs := rowOffsets(wins)
-	type rowOut struct {
+	// Each chunk writes a disjoint set of blocks and collects its own stats
+	// and index lists; merging them in chunk order below reproduces the
+	// (ci, by, bx, zz) append order of a serial walk at any worker count.
+	type chunkOut struct {
 		st                  Stats
 		wInd, zInd, support PosList
 	}
-	parts := parallel.Map(offs[len(wins)], regionRowGrain, func(lo, hi int) *rowOut {
-		out := &rowOut{}
-		for r := lo; r < hi; r++ {
-			ci, wy := rowComp(offs, r)
-			w := &wins[ci]
-			comp := &img.Comps[ci]
-			for wx := 0; wx < w.cbw; wx++ {
-				// Key index k is the region-local index of the block's
-				// co-located luma block on the ORIGINAL region grid (for
-				// full-resolution components this is just by*bw+bx).
-				lbx, lby := w.lumaBlock(wx, wy)
-				k := lby*bw + lbx
-				pi := (k / keys.MatrixLen) % len(pairs)
-				pair, tbl := pairs[pi], &tables[pi]
-				b := comp.Block(w.cbx0+wx, w.cby0+wy)
-				out.st.Blocks++
+	parts := walkRegion(rs, func(out *chunkOut, v blockVisit) {
+		b := img.Comps[v.ci].Block(v.cbx, v.cby)
+		out.st.Blocks++
 
-				// DC (always perturbed, all variants).
-				e, wrapped := wrapAdd(b[0], s.dcDelta(pair, k), dcOffset, dcModulus)
-				b[0] = e
-				out.st.Perturbed++
-				if wrapped {
-					out.st.Wraps++
-					if recordWraps {
-						out.wInd = append(out.wInd, CoeffPos{Channel: uint8(ci), Block: uint32(k), Coeff: 0})
-					}
+		// DC (always perturbed, all variants).
+		e, wrapped := wrapAdd(b[0], rs.scheme.dcDelta(v.pair, v.k), dcOffset, dcModulus)
+		b[0] = e
+		out.st.Perturbed++
+		if wrapped {
+			out.st.Wraps++
+			if recordWraps {
+				out.wInd = append(out.wInd, CoeffPos{Channel: uint8(v.ci), Block: uint32(v.k), Coeff: 0})
+			}
+		}
+
+		// AC positions with a nonzero delta, in zigzag order.
+		for _, zz8 := range v.tbl.Active {
+			zz := int(zz8)
+			nat := dct.ZigZag[zz]
+			if variantZ && b[nat] == 0 {
+				continue // Algorithm 2 skips original zeros
+			}
+			e, wrapped := wrapAdd(b[nat], v.tbl.Deltas[zz], acOffset, acModulus)
+			b[nat] = e
+			out.st.Perturbed++
+			pos := CoeffPos{Channel: uint8(v.ci), Block: uint32(v.k), Coeff: uint8(zz)}
+			if wrapped {
+				out.st.Wraps++
+				if recordWraps {
+					out.wInd = append(out.wInd, pos)
 				}
-
-				// AC positions with a nonzero delta, in zigzag order.
-				for _, zz8 := range tbl.Active {
-					zz := int(zz8)
-					nat := dct.ZigZag[zz]
-					if variantZ && b[nat] == 0 {
-						continue // Algorithm 2 skips original zeros
-					}
-					e, wrapped := wrapAdd(b[nat], tbl.Deltas[zz], acOffset, acModulus)
-					b[nat] = e
-					out.st.Perturbed++
-					pos := CoeffPos{Channel: uint8(ci), Block: uint32(k), Coeff: uint8(zz)}
-					if wrapped {
-						out.st.Wraps++
-						if recordWraps {
-							out.wInd = append(out.wInd, pos)
-						}
-					}
-					if variantZ {
-						if e == 0 {
-							out.st.NewZeros++
-							out.zInd = append(out.zInd, pos)
-						}
-						if recordSupport {
-							out.support = append(out.support, pos)
-						}
-					}
+			}
+			if variantZ {
+				if e == 0 {
+					out.st.NewZeros++
+					out.zInd = append(out.zInd, pos)
+				}
+				if recordSupport {
+					out.support = append(out.support, pos)
 				}
 			}
 		}
-		return out
 	})
 
 	st := &Stats{}

@@ -6,11 +6,9 @@ import (
 	"puppies/internal/parallel"
 )
 
-// Hot-path support for the per-block perturbation loops: precomputed
-// per-pair delta tables (the AC delta at a zigzag position is invariant
-// across blocks, so the range-matrix modulo chain runs once per pair, not
-// once per coefficient) and pooled bitsets replacing the map-backed
-// position sets on the decrypt and shadow paths.
+// Hot-path support for the per-block perturbation loops: per-pair AC
+// delta tables and pooled bitsets replacing the map-backed position sets on
+// the decrypt and shadow paths.
 
 // acDeltas is a per-pair AC perturbation table: Deltas[zz] is the delta at
 // zigzag position zz, and Active lists the positions with nonzero delta in
@@ -35,28 +33,6 @@ func (s *Scheme) acDeltaTable(pair *keys.Pair) acDeltas {
 	return t
 }
 
-// deltaCache resolves pairs to their delta tables. Region loops see at
-// most a handful of pairs (one, or the §IV-D cycle), so a linear scan
-// beats a map.
-type deltaCache struct {
-	scheme *Scheme
-	pairs  []*keys.Pair
-	tables []acDeltas
-}
-
-func newDeltaCache(s *Scheme) *deltaCache { return &deltaCache{scheme: s} }
-
-func (c *deltaCache) table(pair *keys.Pair) *acDeltas {
-	for i, p := range c.pairs {
-		if p == pair {
-			return &c.tables[i]
-		}
-	}
-	c.pairs = append(c.pairs, pair)
-	c.tables = append(c.tables, c.scheme.acDeltaTable(pair))
-	return &c.tables[len(c.tables)-1]
-}
-
 // posBitset is a region-shaped coefficient position set: one bit per
 // (channel, region-local block, zigzag position). It replaces
 // PosList.toSet's map on the decrypt/shadow hot paths — a test is two
@@ -68,32 +44,34 @@ type posBitset struct {
 	words                  []uint64
 	bw, bh                 int
 	baseBW, baseBX, baseBY int
-	channels               int
 }
 
-// newPosBitset builds the set for a region window. A nil return means the
-// empty set.
-func newPosBitset(list PosList, channels int, rp *RegionParams, bw, bh, baseBW int) *posBitset {
+// bitsetPool backs every posBitset (64 bits per block).
+var bitsetPool parallel.SlicePool[uint64]
+
+// newPosBitset builds the set for a region schedule's window. A nil return
+// means the empty set.
+func newPosBitset(list PosList, rs *regionSchedule) *posBitset {
 	if len(list) == 0 {
 		return nil
 	}
+	channels := len(rs.wins)
 	s := &posBitset{
-		words:    parallel.GetUint64(channels * bw * bh), // 64 bits per block
-		bw:       bw,
-		bh:       bh,
-		baseBW:   baseBW,
-		baseBX:   rp.BaseBX,
-		baseBY:   rp.BaseBY,
-		channels: channels,
+		words:  bitsetPool.Get(channels * rs.bw * rs.bh),
+		bw:     rs.bw,
+		bh:     rs.bh,
+		baseBW: rs.baseBW,
+		baseBX: rs.rp.BaseBX,
+		baseBY: rs.rp.BaseBY,
 	}
 	for _, p := range list {
 		k := int(p.Block)
-		bx := k%baseBW - s.baseBX
-		by := k/baseBW - s.baseBY
-		if int(p.Channel) >= channels || bx < 0 || bx >= bw || by < 0 || by >= bh {
+		bx := k%s.baseBW - s.baseBX
+		by := k/s.baseBW - s.baseBY
+		if int(p.Channel) >= channels || bx < 0 || bx >= s.bw || by < 0 || by >= s.bh {
 			continue
 		}
-		word := (int(p.Channel)*bh+by)*bw + bx
+		word := (int(p.Channel)*s.bh+by)*s.bw + bx
 		s.words[word] |= 1 << (p.Coeff & 63)
 	}
 	return s
@@ -114,7 +92,7 @@ func (s *posBitset) test(ci, k, zz int) bool {
 // release returns the backing array to the pool.
 func (s *posBitset) release() {
 	if s != nil {
-		parallel.PutUint64(s.words)
+		bitsetPool.Put(s.words)
 		s.words = nil
 	}
 }

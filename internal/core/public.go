@@ -201,7 +201,16 @@ func (rp *RegionParams) KeyIDForBlock(k int) string {
 	if len(rp.KeyIDs) == 0 {
 		return rp.KeyID
 	}
-	return rp.KeyIDs[(k/64)%len(rp.KeyIDs)]
+	return rp.KeyIDs[stripe(k, len(rp.KeyIDs))]
+}
+
+// baseBW returns the width in blocks of the original region grid; zero
+// BaseBW (a region never cropped) means the region's own width.
+func (rp *RegionParams) baseBW() int {
+	if rp.BaseBW != 0 {
+		return rp.BaseBW
+	}
+	return rp.ROI.W / dct.BlockSize
 }
 
 // AllKeyIDs returns every pair ID the region references.

@@ -146,49 +146,16 @@ func (w *compWindow) lumaBlock(j, i int) (lbx, lby int) {
 	return lbx, lby
 }
 
-// imageWindows builds each component's region window from the image's own
-// sampling factors.
-func imageWindows(img *jpegc.Image, roi ROI) []compWindow {
-	maxH, maxV := img.MaxSampling()
-	out := make([]compWindow, len(img.Comps))
-	for ci := range img.Comps {
-		hs, vs := img.Comps[ci].Sampling()
-		out[ci] = windowFor(roi, hs, vs, maxH, maxV)
-	}
-	return out
-}
-
-// pdWindows builds each channel's region window from public-data sampling.
-func pdWindows(pd *PublicData, roi ROI) []compWindow {
-	samp := normSampling(pd.Sampling, pd.Channels)
+// regionWindows builds each channel's region window from its sampling
+// factors (samp as in PublicData.Sampling: nil for 4:4:4 and grayscale).
+func regionWindows(samp []CompSampling, channels int, roi ROI) []compWindow {
+	samp = normSampling(samp, channels)
 	maxH, maxV := maxSampling(samp)
-	out := make([]compWindow, pd.Channels)
+	out := make([]compWindow, channels)
 	for ci := range out {
 		out[ci] = windowFor(roi, samp[ci].H, samp[ci].V, maxH, maxV)
 	}
 	return out
-}
-
-// rowOffsets flattens per-window row counts into prefix offsets for the
-// (channel, block-row) parallel loops: unit r belongs to the component
-// whose [offsets[ci], offsets[ci+1]) range contains it. For 4:4:4 images
-// this reduces to the legacy ci*bh+by indexing, preserving chunk boundaries
-// and merge order bit-exactly.
-func rowOffsets(wins []compWindow) []int {
-	offs := make([]int, len(wins)+1)
-	for ci := range wins {
-		offs[ci+1] = offs[ci] + wins[ci].cbh
-	}
-	return offs
-}
-
-// rowComp resolves a flattened row unit to (component, window row).
-func rowComp(offs []int, r int) (ci, i int) {
-	ci = 0
-	for offs[ci+1] <= r {
-		ci++
-	}
-	return ci, r - offs[ci]
 }
 
 // checkImageSampling verifies an image's geometry matches public data

@@ -6,7 +6,6 @@ import (
 	"puppies/internal/dct"
 	"puppies/internal/imgplane"
 	"puppies/internal/keys"
-	"puppies/internal/parallel"
 	"puppies/internal/transform"
 )
 
@@ -49,17 +48,11 @@ func ShadowImage(pd *PublicData, pairs map[string]*keys.Pair) (*imgplane.Image, 
 	}
 	for i := range pd.Regions {
 		rp := &pd.Regions[i]
-		any := false
-		for _, id := range rp.AllKeyIDs() {
-			if _, ok := pairs[id]; ok {
-				any = true
-				break
-			}
-		}
-		if !any {
+		held, count := heldPairs(rp, pairs)
+		if count == 0 {
 			continue
 		}
-		if err := addRegionShadow(natives, pd, rp, pairs); err != nil {
+		if err := addRegionShadow(natives, pd, rp, held); err != nil {
 			return nil, fmt.Errorf("core: region %d shadow: %w", i, err)
 		}
 	}
@@ -72,83 +65,59 @@ func ShadowImage(pd *PublicData, pairs map[string]*keys.Pair) (*imgplane.Image, 
 	return shadow, nil
 }
 
-func addRegionShadow(natives []*imgplane.Plane, pd *PublicData, rp *RegionParams, pairs map[string]*keys.Pair) error {
-	sch, err := NewScheme(Params{Variant: rp.Variant, MR: rp.MR, K: rp.K, Wrap: rp.Wrap})
+func addRegionShadow(natives []*imgplane.Plane, pd *PublicData, rp *RegionParams, pairs []*keys.Pair) error {
+	rs, err := newRegionSchedule(rp, pairs, pd.Sampling, pd.Channels)
 	if err != nil {
 		return err
 	}
 	if rp.Variant == VariantZ && !rp.SupportRecorded && len(rp.Support) == 0 {
 		return fmt.Errorf("core: %s region has no support list; encrypt with TransformSupport for pixel-domain recovery", rp.Variant)
 	}
-
-	_, _, bw, bh := rp.ROI.Blocks()
-	baseBW := rp.BaseBW
-	if baseBW == 0 {
-		baseBW = bw
-	}
-	wind := newPosBitset(rp.WInd, pd.Channels, rp, bw, bh, baseBW)
+	wind := newPosBitset(rp.WInd, rs)
 	defer wind.release()
-	support := newPosBitset(rp.Support, pd.Channels, rp, bw, bh, baseBW)
+	support := newPosBitset(rp.Support, rs)
 	defer support.release()
 	variantZ := rp.Variant == VariantZ
 
-	// Each (channel, block-row) unit writes a disjoint 8-pixel band of its
-	// channel's native plane, so the accumulation is race-free and
-	// order-independent. Subsampled channels walk their native block windows
-	// at chroma-grid pixel offsets, keyed by the co-located luma block.
-	wins := pdWindows(pd, rp.ROI)
-	offs := rowOffsets(wins)
-	parallel.For(offs[len(wins)], regionRowGrain, func(lo, hi int) {
-		cache := newDeltaCache(sch)
-		for r := lo; r < hi; r++ {
-			ci, wy := rowComp(offs, r)
-			w := &wins[ci]
-			quant := &pd.LumQuant
-			if ci > 0 {
-				quant = &pd.ChromQuant
+	// Each block writes its own 8x8 pixel square of its channel's native
+	// plane (subsampled channels at chroma-grid offsets), so the
+	// accumulation is race-free and order-independent.
+	walkRegion(rs, func(_ *struct{}, v blockVisit) {
+		quant := &pd.LumQuant
+		if v.ci > 0 {
+			quant = &pd.ChromQuant
+		}
+		var raw dct.FloatBlock
+		// DC contribution.
+		delta := rs.scheme.dcDelta(v.pair, v.k)
+		if wind.test(v.ci, v.k, 0) {
+			delta -= dcModulus
+		}
+		raw[0] = float64(delta) * float64(quant[0])
+
+		// AC contributions at positions with a nonzero delta.
+		for _, zz8 := range v.tbl.Active {
+			zz := int(zz8)
+			if variantZ && !support.test(v.ci, v.k, zz) {
+				continue
 			}
-			plane := natives[ci]
-			for wx := 0; wx < w.cbw; wx++ {
-				lbx, lby := w.lumaBlock(wx, wy)
-				k := (rp.BaseBY+lby)*baseBW + (rp.BaseBX + lbx)
-				pair := pairs[rp.KeyIDForBlock(k)]
-				if pair == nil {
-					continue // stripe key not held: block stays perturbed
-				}
-				tbl := cache.table(pair)
+			nat := dct.ZigZag[zz]
+			d := v.tbl.Deltas[zz]
+			if wind.test(v.ci, v.k, zz) {
+				d -= acModulus
+			}
+			raw[nat] = float64(d) * float64(quant[nat])
+		}
 
-				var raw dct.FloatBlock
-				// DC contribution.
-				delta := sch.dcDelta(pair, k)
-				if wind.test(ci, k, 0) {
-					delta -= dcModulus
-				}
-				raw[0] = float64(delta) * float64(quant[0])
-
-				// AC contributions at positions with a nonzero delta.
-				for _, zz8 := range tbl.Active {
-					zz := int(zz8)
-					if variantZ && !support.test(ci, k, zz) {
-						continue
-					}
-					nat := dct.ZigZag[zz]
-					d := tbl.Deltas[zz]
-					if wind.test(ci, k, zz) {
-						d -= acModulus
-					}
-					raw[nat] = float64(d) * float64(quant[nat])
-				}
-
-				spatial := dct.Inverse(&raw)
-				for y := 0; y < dct.BlockSize; y++ {
-					py := (w.cby0+wy)*dct.BlockSize + y
-					for x := 0; x < dct.BlockSize; x++ {
-						px := (w.cbx0+wx)*dct.BlockSize + x
-						// Set ignores writes past the native plane edge
-						// (partial edge blocks), matching the decoder's crop.
-						plane.Set(px, py, plane.At(px, py)+float32(spatial[y*dct.BlockSize+x]))
-					}
-				}
+		spatial := dct.Inverse(&raw)
+		plane := natives[v.ci]
+		for y := 0; y < dct.BlockSize; y++ {
+			py := v.cby*dct.BlockSize + y
+			for x := 0; x < dct.BlockSize; x++ {
+				px := v.cbx*dct.BlockSize + x
+				// Set ignores writes past the native plane edge
+				// (partial edge blocks), matching the decoder's crop.
+				plane.Set(px, py, plane.At(px, py)+float32(spatial[y*dct.BlockSize+x]))
 			}
 		}
 	})

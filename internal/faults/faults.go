@@ -1,8 +1,8 @@
 // Package faults is a deterministic, seedable fault-injection harness for
-// the PSP pipeline. It perturbs HTTP traffic on either side of the wire —
-// as a client http.RoundTripper (Injector.Transport) or as server
-// middleware (Injector.Middleware) — so robustness tests can exercise
-// retry, backoff, and graceful-degradation paths reproducibly.
+// the PSP pipeline. It perturbs HTTP traffic as server middleware
+// (Injector.Middleware) and cuts client links to chosen hosts
+// (Partition.Transport), so robustness tests can exercise retry, backoff,
+// and graceful-degradation paths reproducibly.
 //
 // Faults are scheduled by rules. A rule matches a subset of requests and
 // carries a script: a fixed sequence of faults consumed one per matching
@@ -29,11 +29,10 @@ const (
 	// None passes the request through untouched.
 	None Kind = iota
 	// Status503 answers 503 Service Unavailable without reaching the
-	// origin (transport) or the handler (middleware). Retry-After is
-	// attached when Fault.RetryAfter is set.
+	// handler. Retry-After is attached when Fault.RetryAfter is set.
 	Status503
-	// Drop severs the connection before the request reaches the origin:
-	// the client sees a connection reset and the server does no work.
+	// Drop severs the connection before the request reaches the handler:
+	// the client sees a broken connection and the server does no work.
 	Drop
 	// DropResponse lets the request fully execute, then severs the
 	// connection before the response reaches the client. This is the

@@ -1,12 +1,10 @@
 package faults
 
 import (
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
-	"syscall"
 	"testing"
 	"time"
 )
@@ -85,54 +83,74 @@ func TestRateIsDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-func TestTransportFaults(t *testing.T) {
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+func TestMiddlewareFaults(t *testing.T) {
+	var handled atomic.Int32
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handled.Add(1)
 		_, _ = w.Write([]byte("hello, puppies"))
-	}))
-	defer origin.Close()
+	})
 
-	in := New(7).Script(nil,
+	in := New(9).Script(nil,
+		Fault{Kind: Status503, RetryAfter: 2 * time.Second},
 		Fault{Kind: Status503, RetryAfter: 1500 * time.Millisecond},
 		Fault{Kind: Drop},
+		Fault{Kind: DropResponse},
 		Fault{Kind: Truncate},
 		Fault{Kind: BitFlip},
 	)
-	client := &http.Client{Transport: in.Transport(nil)}
+	srv := httptest.NewServer(in.Middleware(inner))
+	defer srv.Close()
 
-	resp, err := client.Get(origin.URL)
-	if err != nil {
-		t.Fatalf("injected 503 surfaced as transport error: %v", err)
+	// Status503, with whole and fractional Retry-After seconds.
+	for _, want := range []string{"2", "1.5"} {
+		resp, err := http.Get(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("status %d, want 503", resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != want {
+			t.Errorf("Retry-After %q, want %q", got, want)
+		}
 	}
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("status %d, want 503", resp.StatusCode)
+	if n := handled.Load(); n != 0 {
+		t.Errorf("503 reached the handler (%d calls)", n)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "1.5" {
-		t.Errorf("Retry-After %q, want \"1.5\"", got)
-	}
-	resp.Body.Close()
 
-	if _, err := client.Get(origin.URL); err == nil {
-		t.Error("injected drop returned a response")
-	} else if !errors.Is(err, syscall.ECONNRESET) {
-		t.Errorf("drop error %v, want ECONNRESET in chain", err)
+	// Drop: the client sees a severed stream and the handler never runs.
+	if _, err := http.Get(srv.URL); err == nil {
+		t.Error("drop delivered a response")
+	}
+	if n := handled.Load(); n != 0 {
+		t.Errorf("drop reached the handler (%d calls)", n)
 	}
 
-	resp, err = client.Get(origin.URL)
-	if err != nil {
-		t.Fatal(err)
+	// DropResponse: the handler runs, the client sees a severed stream.
+	if _, err := http.Get(srv.URL); err == nil {
+		t.Error("drop-response delivered a response")
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if len(body) != len("hello, puppies")/2 {
+	if n := handled.Load(); n != 1 {
+		t.Errorf("drop-response handler calls = %d, want 1", n)
+	}
+
+	get := func() []byte {
+		resp, err := http.Get(srv.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	if body := get(); len(body) != len("hello, puppies")/2 {
 		t.Errorf("truncated body %d bytes, want %d", len(body), len("hello, puppies")/2)
 	}
-
-	resp, err = client.Get(origin.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
+	body := get()
 	diff := 0
 	for i := range body {
 		if body[i] != "hello, puppies"[i] {
@@ -144,63 +162,8 @@ func TestTransportFaults(t *testing.T) {
 	}
 
 	// Script exhausted: traffic passes untouched.
-	resp, err = client.Get(origin.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "hello, puppies" {
+	if body := get(); string(body) != "hello, puppies" {
 		t.Errorf("pass-through body %q", body)
-	}
-}
-
-func TestMiddlewareFaults(t *testing.T) {
-	var handled atomic.Int32
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handled.Add(1)
-		_, _ = w.Write([]byte("hello, puppies"))
-	})
-
-	in := New(9).Script(nil,
-		Fault{Kind: Status503, RetryAfter: 2 * time.Second},
-		Fault{Kind: DropResponse},
-		Fault{Kind: Truncate},
-	)
-	srv := httptest.NewServer(in.Middleware(inner))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("status %d, want 503", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After %q, want \"2\"", got)
-	}
-	if n := handled.Load(); n != 0 {
-		t.Errorf("503 reached the handler (%d calls)", n)
-	}
-
-	// DropResponse: the handler runs, the client sees a severed stream.
-	if _, err := http.Get(srv.URL); err == nil {
-		t.Error("drop-response delivered a response")
-	}
-	if n := handled.Load(); n != 1 {
-		t.Errorf("drop-response handler calls = %d, want 1", n)
-	}
-
-	resp, err = http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if len(body) != len("hello, puppies")/2 {
-		t.Errorf("truncated body %d bytes, want %d", len(body), len("hello, puppies")/2)
 	}
 }
 

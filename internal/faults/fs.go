@@ -10,9 +10,9 @@ import (
 	"puppies/internal/blobstore"
 )
 
-// Filesystem fault injection, mirroring the HTTP Transport/Middleware
-// design: rules match operations, each rule carries a script consumed one
-// fault per matching operation, and the envelope/durability tests drive a
+// Filesystem fault injection, mirroring the HTTP Middleware design: rules
+// match operations, each rule carries a script consumed one fault per
+// matching operation, and the envelope/durability tests drive a
 // blobstore.Store through every crash point deterministically.
 
 // FSOp names a filesystem operation for rule matching.

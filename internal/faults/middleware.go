@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -98,4 +99,12 @@ func (r *recorder) replay(w http.ResponseWriter, fn func([]byte) []byte) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(r.code)
 	_, _ = w.Write(body)
+}
+
+func retryAfterValue(d time.Duration) string {
+	secs := d.Seconds()
+	if secs == float64(int64(secs)) {
+		return fmt.Sprintf("%d", int64(secs))
+	}
+	return fmt.Sprintf("%g", secs)
 }

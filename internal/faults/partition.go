@@ -3,8 +3,10 @@ package faults
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
+	"syscall"
 	"time"
 
 	mrand "math/rand"
@@ -198,4 +200,19 @@ func (t *partitionTransport) RoundTrip(req *http.Request) (*http.Response, error
 		return nil, connReset()
 	}
 	return t.inner.RoundTrip(req)
+}
+
+// connReset is the transport error for a severed link; clients see it
+// exactly as they would a mid-flight TCP reset.
+func connReset() error {
+	return &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
+}
+
+// drainRequest consumes and closes the outgoing body, which RoundTrip
+// implementations must do even when they never contact the origin.
+func drainRequest(req *http.Request) {
+	if req.Body != nil {
+		_, _ = io.Copy(io.Discard, req.Body)
+		req.Body.Close()
+	}
 }

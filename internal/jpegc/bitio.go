@@ -29,13 +29,13 @@ type bitWriter struct {
 const writerFlushAt = 1 << 15
 
 func newBitWriter(w io.Writer) *bitWriter {
-	return &bitWriter{w: w, buf: getByteBuf()}
+	return &bitWriter{w: w, buf: byteBufPool.GetEmpty(byteBufCap)}
 }
 
 // release returns the staging buffer to the pool. The writer must not be
 // used afterwards.
 func (bw *bitWriter) release() {
-	putByteBuf(bw.buf)
+	byteBufPool.Put(bw.buf)
 	bw.buf = nil
 }
 

@@ -360,7 +360,7 @@ func (d *decoder) parseSOF() error {
 		d.img.Comps[i] = Component{
 			BlocksW: bw,
 			BlocksH: bh,
-			Blocks:  getBlockSlab(bw * bh),
+			Blocks:  blockSlabPool.Get(bw * bh),
 		}
 	}
 	d.sawSOF = true
@@ -447,8 +447,8 @@ func (d *decoder) decodeScan() error {
 			return fmt.Errorf("jpegc: scan uses undefined huffman table (component %d)", ci)
 		}
 	}
-	buf, err := d.readEntropyData(getByteBuf())
-	defer putByteBuf(buf)
+	buf, err := d.readEntropyData(byteBufPool.GetEmpty(byteBufCap))
+	defer byteBufPool.Put(buf)
 	if err != nil {
 		return err
 	}

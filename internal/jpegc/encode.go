@@ -59,8 +59,8 @@ func (m *Image) Encode(w io.Writer, opts EncodeOptions) error {
 	if opts.RestartInterval < 0 || opts.RestartInterval > 0xffff {
 		return fmt.Errorf("jpegc: restart interval %d out of range [0, 65535]", opts.RestartInterval)
 	}
-	slab := getMaskSlab(m.blockCount())
-	defer putMaskSlab(slab)
+	slab := maskSlabPool.Get(m.blockCount())
+	defer maskSlabPool.Put(slab)
 	masks, err := m.nonzeroMasks(slab)
 	if err != nil {
 		return err

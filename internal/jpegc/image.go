@@ -144,7 +144,7 @@ func (m *Image) CoeffBytes() int {
 // bug.
 func (m *Image) Recycle() {
 	for i := range m.Comps {
-		putBlockSlab(m.Comps[i].Blocks)
+		blockSlabPool.Put(m.Comps[i].Blocks)
 		m.Comps[i].Blocks = nil
 	}
 	m.Comps = nil

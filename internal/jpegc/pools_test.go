@@ -3,6 +3,8 @@ package jpegc
 import (
 	"sync"
 	"testing"
+
+	"puppies/internal/dct"
 )
 
 // TestPoolsResetPoisonedBuffers enforces the pools.go contract: whatever
@@ -11,11 +13,11 @@ func TestPoolsResetPoisonedBuffers(t *testing.T) {
 	// Byte buffers: poison the contents, recycle, and check a fresh Get is
 	// empty — stale bytes must only ever be reachable by appends that
 	// overwrite them.
-	b := getByteBuf()
+	b := byteBufPool.GetEmpty(byteBufCap)
 	b = append(b, 0xde, 0xad, 0xbe, 0xef)
-	putByteBuf(b)
+	byteBufPool.Put(b)
 	for i := 0; i < 4; i++ {
-		got := getByteBuf()
+		got := byteBufPool.GetEmpty(byteBufCap)
 		if len(got) != 0 {
 			t.Fatalf("recycled byte buffer has length %d, want 0", len(got))
 		}
@@ -23,7 +25,7 @@ func TestPoolsResetPoisonedBuffers(t *testing.T) {
 		if got[0] != byte(i) {
 			t.Fatalf("append after recycle read back %#x, want %#x", got[0], i)
 		}
-		putByteBuf(got)
+		byteBufPool.Put(got)
 	}
 
 	// Histograms: poison every counter, recycle, and check the next Get is
@@ -51,19 +53,37 @@ func TestPoolsResetPoisonedBuffers(t *testing.T) {
 
 	// Mask slabs: poison every mask, recycle, and check the next Get of a
 	// smaller slab is zeroed.
-	m := getMaskSlab(64)
+	m := maskSlabPool.Get(64)
 	for i := range m {
 		m[i] = ^uint64(0)
 	}
-	putMaskSlab(m)
+	maskSlabPool.Put(m)
 	for i := 0; i < 4; i++ {
-		got := getMaskSlab(32)
+		got := maskSlabPool.Get(32)
 		for j, v := range got {
 			if v != 0 {
 				t.Fatalf("recycled mask slab not zeroed: mask %d = %#x", j, v)
 			}
 		}
-		putMaskSlab(got)
+		maskSlabPool.Put(got)
+	}
+
+	// Block slabs: the same for coefficient grids.
+	bs := blockSlabPool.Get(16)
+	for i := range bs {
+		for j := range bs[i] {
+			bs[i][j] = -1
+		}
+	}
+	blockSlabPool.Put(bs)
+	for i := 0; i < 4; i++ {
+		got := blockSlabPool.Get(8)
+		for j := range got {
+			if got[j] != (dct.Block{}) {
+				t.Fatalf("recycled block slab not zeroed: block %d", j)
+			}
+		}
+		blockSlabPool.Put(got)
 	}
 }
 
@@ -77,7 +97,7 @@ func TestPoolsConcurrentReuse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				b := getByteBuf()
+				b := byteBufPool.GetEmpty(byteBufCap)
 				if len(b) != 0 {
 					t.Errorf("goroutine %d: got buffer of length %d", g, len(b))
 					return
@@ -91,7 +111,7 @@ func TestPoolsConcurrentReuse(t *testing.T) {
 						return
 					}
 				}
-				putByteBuf(b)
+				byteBufPool.Put(b)
 			}
 		}(g)
 	}

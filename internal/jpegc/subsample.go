@@ -28,11 +28,11 @@ func trimComponent(comp *Component, bw, bh int) {
 	if comp.BlocksW == bw && comp.BlocksH == bh {
 		return
 	}
-	blocks := getBlockSlab(bw * bh)
+	blocks := blockSlabPool.Get(bw * bh)
 	for by := 0; by < bh; by++ {
 		copy(blocks[by*bw:(by+1)*bw], comp.Blocks[by*comp.BlocksW:by*comp.BlocksW+bw])
 	}
-	putBlockSlab(comp.Blocks)
+	blockSlabPool.Put(comp.Blocks)
 	comp.BlocksW, comp.BlocksH = bw, bh
 	comp.Blocks = blocks
 }

@@ -97,12 +97,13 @@ func TestSetWorkersRestore(t *testing.T) {
 }
 
 func TestScratchPoolsReturnZeroed(t *testing.T) {
-	s := GetUint64(16)
+	var pool SlicePool[uint64]
+	s := pool.Get(16)
 	for i := range s {
 		s[i] = ^uint64(0)
 	}
-	PutUint64(s)
-	s2 := GetUint64(8)
+	pool.Put(s)
+	s2 := pool.Get(8)
 	for i, v := range s2 {
 		if v != 0 {
 			t.Fatalf("recycled slice not zeroed at %d: %x", i, v)
@@ -113,20 +114,20 @@ func TestScratchPoolsReturnZeroed(t *testing.T) {
 	for i := range s2 {
 		s2[i] = ^uint64(0)
 	}
-	PutUint64(s2)
-	s3 := GetUint64(16)
+	pool.Put(s2)
+	s3 := pool.Get(16)
 	for i, v := range s3 {
 		if v != 0 {
 			t.Fatalf("regrown slice not zeroed at %d: %x", i, v)
 		}
 	}
-	PutUint64(s3)
+	pool.Put(s3)
 	// A request past any recycled capacity allocates fresh (zeroed) memory.
-	big := GetUint64(1 << 12)
+	big := pool.Get(1 << 12)
 	for i, v := range big {
 		if v != 0 {
 			t.Fatalf("oversized slice not zeroed at %d: %x", i, v)
 		}
 	}
-	PutUint64(big)
+	pool.Put(big)
 }

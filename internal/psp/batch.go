@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"sync"
 
-	"puppies/internal/core"
 	"puppies/internal/jpegc"
 	"puppies/internal/parallel"
 	"puppies/internal/searchidx"
@@ -58,10 +57,8 @@ func (s *Server) storeRaw(image, params []byte, key string, owned bool) BatchRes
 	if len(image) == 0 {
 		return BatchResult{Error: "empty image", Status: http.StatusBadRequest}
 	}
-	if key != "" {
-		if id, seen := s.st().IDForKey(key); seen {
-			return BatchResult{ID: id}
-		}
+	if res, seen := s.keyHit(key, image, params); seen {
+		return res
 	}
 	// The PSP validates that the upload is a decodable JPEG (any PSP
 	// would), and derives the search signature from the same decode before
@@ -172,28 +169,6 @@ func (c *Client) UploadBatch(ctx context.Context, items []BatchUpload) ([]BatchR
 	}
 	c.statExhausted.Add(1)
 	return nil, fmt.Errorf("psp: giving up after %d attempts: %w", attempts, lastErr)
-}
-
-// UploadBatchImages is the coefficient-image convenience form of
-// UploadBatch: each image is encoded with opts and paired with its encoded
-// public data.
-func (c *Client) UploadBatchImages(ctx context.Context, imgs []*jpegc.Image, pds []*core.PublicData, opts jpegc.EncodeOptions) ([]BatchResult, error) {
-	if len(imgs) != len(pds) {
-		return nil, fmt.Errorf("psp: %d images for %d parameter sets", len(imgs), len(pds))
-	}
-	items := make([]BatchUpload, len(imgs))
-	for i := range imgs {
-		var buf bytes.Buffer
-		if err := imgs[i].Encode(&buf, opts); err != nil {
-			return nil, fmt.Errorf("psp: encode image %d: %w", i, err)
-		}
-		params, err := pds[i].Encode()
-		if err != nil {
-			return nil, fmt.Errorf("psp: encode params %d: %w", i, err)
-		}
-		items[i] = BatchUpload{Image: buf.Bytes(), Params: params}
-	}
-	return c.UploadBatch(ctx, items)
 }
 
 // uploadBatchOnce performs one streaming attempt of the whole batch.

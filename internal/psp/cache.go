@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"puppies/internal/dct"
@@ -199,25 +198,6 @@ func (sc *serveCache) serveBytes(w http.ResponseWriter, r *http.Request, etag, c
 	h.Set("Content-Type", contentType)
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
-}
-
-// bufPool recycles the output buffers of the encode paths; bodies are
-// copied out before the buffer is returned, so pooled storage never
-// escapes into the caches.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBuf caps the capacity a returned buffer may retain; encoding an
-// occasional huge image must not pin its buffer in the pool forever.
-const maxPooledBuf = 8 << 20
-
-func getBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
-
-func putBuf(b *bytes.Buffer) {
-	if b.Cap() > maxPooledBuf {
-		return
-	}
-	b.Reset()
-	bufPool.Put(b)
 }
 
 // cloneBytes detaches a pooled buffer's contents for caching/serving.

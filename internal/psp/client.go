@@ -37,12 +37,13 @@ func NewValidatorCache(maxBytes int64) *servecache.Cache[CachedResponse] {
 	return servecache.New[CachedResponse](maxBytes)
 }
 
-// Default client resilience knobs; override per Client field.
+// Default client resilience knobs, overridden per Client field; the
+// backoff cap is fixed.
 const (
 	defaultRequestTimeout = 30 * time.Second
 	defaultMaxRetries     = 3
 	defaultBackoffBase    = 100 * time.Millisecond
-	defaultBackoffMax     = 5 * time.Second
+	backoffMax            = 5 * time.Second
 )
 
 // Client talks to a PSP over HTTP. Both senders (upload) and receivers
@@ -67,10 +68,9 @@ type Client struct {
 	// MaxRetries is the number of extra attempts after the first.
 	// Zero means defaultMaxRetries; negative disables retries.
 	MaxRetries int
-	// BackoffBase and BackoffMax shape the exponential backoff between
-	// attempts. Zero values take the package defaults.
+	// BackoffBase is the first delay of the exponential backoff between
+	// attempts (capped at 5s). Zero takes the package default.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// MaxResponseBytes caps how much of a response body the client will
 	// read; a larger body yields ErrTooLarge rather than silent
 	// truncation. Zero means DefaultMaxUpload.
@@ -166,13 +166,9 @@ func (c *Client) backoff(n int) time.Duration {
 	if base <= 0 {
 		base = defaultBackoffBase
 	}
-	max := c.BackoffMax
-	if max <= 0 {
-		max = defaultBackoffMax
-	}
 	d := base << (n - 1)
-	if d > max || d <= 0 {
-		d = max
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	c.rngOnce.Do(func() {
 		var seed [8]byte

@@ -3,8 +3,10 @@ package psp
 import (
 	"bytes"
 	"encoding/json"
+	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"net/textproto"
 	"net/url"
 	"strings"
 	"testing"
@@ -150,6 +152,81 @@ func TestPutImageHonorsIdempotencyKey(t *testing.T) {
 	}
 	if srv.Len() != 1 {
 		t.Fatalf("store holds %d images, want 1", srv.Len())
+	}
+}
+
+// TestReusedIdempotencyKeyWithDifferentBytesConflicts checks that a key
+// already bound to a stored image acknowledges only those bytes: POST, PUT
+// and a batch item carrying the key with a different image answer 409 and
+// store nothing, while an identical replay still answers the original ID.
+func TestReusedIdempotencyKeyWithDifferentBytesConflicts(t *testing.T) {
+	srv := NewServer()
+	h := srv.Handler()
+	a, b := testJPEG(t, 32, 24), testJPEG(t, 40, 24)
+	post := func(img []byte) *httptest.ResponseRecorder {
+		body, err := json.Marshal(UploadRequest{Image: img})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := httptest.NewRequest(http.MethodPost, "/v1/images", bytes.NewReader(body))
+		r.Header.Set("Content-Type", "application/json")
+		r.Header.Set(idempotencyHeader, "k1")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		return rec
+	}
+	batch := func(img []byte) BatchResult {
+		var buf bytes.Buffer
+		mw := multipart.NewWriter(&buf)
+		hdr := textproto.MIMEHeader{"Content-Type": {"image/jpeg"}, idempotencyHeader: {"k1"}}
+		w, err := mw.CreatePart(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = w.Write(img)
+		_ = mw.Close()
+		r := httptest.NewRequest(http.MethodPost, "/v1/images:batch", &buf)
+		r.Header.Set("Content-Type", mw.FormDataContentType())
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		var br BatchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || len(br.Results) != 1 {
+			t.Fatalf("batch: HTTP %d %s", rec.Code, rec.Body.String())
+		}
+		return br.Results[0]
+	}
+
+	rec := post(a)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("first POST: HTTP %d", rec.Code)
+	}
+	id := decodeID(t, rec)
+
+	if rec := post(b); rec.Code != http.StatusConflict {
+		t.Errorf("POST of other bytes under the key: HTTP %d %s, want 409", rec.Code, rec.Body.String())
+	}
+	if rec := doPutImage(t, h, "other", UploadRequest{Image: b}, "k1"); rec.Code != http.StatusConflict {
+		t.Errorf("PUT of other bytes under the key: HTTP %d %s, want 409", rec.Code, rec.Body.String())
+	}
+	if res := batch(b); res.Status != http.StatusConflict || res.ID != "" {
+		t.Errorf("batch item of other bytes under the key: %+v, want 409", res)
+	}
+	if srv.Len() != 1 {
+		t.Errorf("store holds %d images, want 1", srv.Len())
+	}
+	if got := doGet(h, "/v1/images/"+id, nil); !bytes.Equal(got.Body.Bytes(), a) {
+		t.Errorf("GET %s no longer returns the first image", id)
+	}
+
+	// Identical replays stay idempotent on every route.
+	if rec := post(a); rec.Code != http.StatusOK || decodeID(t, rec) != id {
+		t.Errorf("POST replay: HTTP %d %s, want 200 %s", rec.Code, rec.Body.String(), id)
+	}
+	if rec := doPutImage(t, h, "other", UploadRequest{Image: a}, "k1"); rec.Code != http.StatusOK || decodeID(t, rec) != id {
+		t.Errorf("PUT replay: HTTP %d %s, want 200 %s", rec.Code, rec.Body.String(), id)
+	}
+	if res := batch(a); res.ID != id {
+		t.Errorf("batch replay: %+v, want id %s", res, id)
 	}
 }
 

@@ -175,13 +175,12 @@ func TestDroppedConnectionIsRetried(t *testing.T) {
 	inj := faults.New(77).Script(faults.MethodIs(http.MethodGet),
 		faults.Fault{Kind: faults.Drop},
 	)
-	// Client-side injection this time: the RoundTripper resets before the
-	// request leaves the process.
+	// The connection is severed before the handler runs, so the GET must
+	// be retried to succeed.
 	psp := NewServer()
-	srv := httptest.NewServer(psp.Handler())
+	srv := httptest.NewServer(inj.Middleware(psp.Handler()))
 	t.Cleanup(srv.Close)
 	client := fastClient(srv.URL, nil)
-	client.HTTPClient = &http.Client{Transport: inj.Transport(nil)}
 
 	base, err := jpegc.FromPlanar(testPlanar(32, 32), jpegc.Options{Quality: 80})
 	if err != nil {

@@ -195,8 +195,9 @@ type HealthResponse struct {
 //	                                     UploadRequest JSON document)
 //
 // where J is a URL-encoded transform.Spec JSON document. Uploads may carry
-// an Idempotency-Key header; repeats with the same key return the
-// originally assigned ID without storing a second copy.
+// an Idempotency-Key header; repeats with the same key and bytes return
+// the originally assigned ID without storing a second copy, and a repeat
+// with different bytes answers 409.
 //
 // Image representations are immutable, so every image GET carries a strong
 // ETag and Cache-Control: immutable, and honors If-None-Match with 304.
@@ -293,15 +294,15 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	res := s.storeOne(body, strings.TrimSpace(r.Header.Get(idempotencyHeader)))
+	writeUploadResult(w, s.storeOne(body, strings.TrimSpace(r.Header.Get(idempotencyHeader))))
+}
+
+// writeUploadResult answers an upload with its ID or its error.
+func writeUploadResult(w http.ResponseWriter, res BatchResult) {
 	if res.Error != "" {
 		httpError(w, res.Status, "%s", res.Error)
 		return
 	}
-	writeUploadResponse(w, res)
-}
-
-func writeUploadResponse(w http.ResponseWriter, res BatchResult) {
 	spine.WriteJSON(w, http.StatusOK, UploadResponse{ID: res.ID, DuplicateOf: res.DuplicateOf, Distance: res.Distance})
 }
 
@@ -366,14 +367,12 @@ func (s *Server) handlePutImage(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := strings.TrimSpace(r.Header.Get(idempotencyHeader))
-	if key != "" {
-		if prev, seen := s.st().IDForKey(key); seen {
-			writeUploadResponse(w, BatchResult{ID: prev})
-			return
-		}
+	if res, seen := s.keyHit(key, req.Image, req.Params); seen {
+		writeUploadResult(w, res)
+		return
 	}
-
-	if s.answerStored(w, id, req) {
+	if res, stored := s.storedAs(id, req.Image, req.Params); stored {
+		writeUploadResult(w, res)
 		return
 	}
 
@@ -391,32 +390,47 @@ func (s *Server) handlePutImage(w http.ResponseWriter, r *http.Request) {
 		// A concurrent PUT may have stored the ID between the check and
 		// the write (every Store refuses duplicate IDs). Re-read and apply
 		// the same compare-on-conflict rule instead of failing the retry.
-		if !s.answerStored(w, id, req) {
-			httpError(w, http.StatusInternalServerError, "store: %v", err)
+		res, stored := s.storedAs(id, req.Image, req.Params)
+		if !stored {
+			res = BatchResult{Error: fmt.Sprintf("store: %v", err), Status: http.StatusInternalServerError}
 		}
+		writeUploadResult(w, res)
 		return
 	}
 	s.searchIdx().Add(canonical, sig)
-	writeUploadResponse(w, BatchResult{ID: canonical})
+	writeUploadResult(w, BatchResult{ID: canonical})
 }
 
-// answerStored applies handlePutImage's compare-on-conflict rule when id is
-// already stored: identical bytes are an idempotent success, different
-// bytes a conflict that must never be silently overwritten. It reports
-// whether it answered the request.
-func (s *Server) answerStored(w http.ResponseWriter, id string, req UploadRequest) bool {
-	jpeg, params, ok, err := s.st().Get(id)
+// storedAs applies the compare-on-conflict rule to an upload that resolves
+// to id (a PUT's caller-chosen ID, or the ID an Idempotency-Key already
+// names): bytes identical to the stored record are an idempotent success
+// answered with id, different bytes a 409 conflict, so a reused ID or key
+// never acknowledges bytes it did not store. stored is false when nothing
+// is stored under id.
+func (s *Server) storedAs(id string, image, params []byte) (res BatchResult, stored bool) {
+	jpeg, storedParams, ok, err := s.st().Get(id)
 	switch {
 	case err != nil:
-		httpError(w, http.StatusInternalServerError, "store: %v", err)
+		return BatchResult{Error: fmt.Sprintf("store: %v", err), Status: http.StatusInternalServerError}, true
 	case !ok:
-		return false
-	case bytes.Equal(jpeg, req.Image) && paramsEqual(params, req.Params):
-		writeUploadResponse(w, BatchResult{ID: id})
-	default:
-		httpError(w, http.StatusConflict, "image %q already stored with different content", id)
+		return BatchResult{}, false
+	case bytes.Equal(jpeg, image) && paramsEqual(storedParams, params):
+		return BatchResult{ID: id}, true
 	}
-	return true
+	return BatchResult{Error: fmt.Sprintf("image %q already stored with different content", id), Status: http.StatusConflict}, true
+}
+
+// keyHit answers an upload whose Idempotency-Key already names a stored
+// record, under storedAs's rule; seen is false for an empty or new key.
+func (s *Server) keyHit(key string, image, params []byte) (res BatchResult, seen bool) {
+	if key == "" {
+		return BatchResult{}, false
+	}
+	id, ok := s.st().IDForKey(key)
+	if !ok {
+		return BatchResult{}, false
+	}
+	return s.storedAs(id, image, params)
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *entry {
@@ -575,8 +589,8 @@ func (s *Server) handleTransformed(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, &handlerError{code: http.StatusBadRequest, msg: fmt.Sprintf("transform: %v", err)}
 		}
-		buf := getBuf()
-		defer putBuf(buf)
+		buf := spine.GetBuf()
+		defer spine.PutBuf(buf)
 		if err := out.Encode(buf, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized}); err != nil {
 			return nil, &handlerError{code: http.StatusInternalServerError, msg: fmt.Sprintf("encode: %v", err)}
 		}
@@ -617,8 +631,8 @@ func (s *Server) handlePixels(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, &handlerError{code: http.StatusBadRequest, msg: fmt.Sprintf("transform: %v", err)}
 		}
-		buf := getBuf()
-		defer putBuf(buf)
+		buf := spine.GetBuf()
+		defer spine.PutBuf(buf)
 		if err := out.EncodeBinary(buf); err != nil {
 			return nil, &handlerError{code: http.StatusInternalServerError, msg: fmt.Sprintf("encode: %v", err)}
 		}

@@ -126,8 +126,8 @@ func (sp *Spine) ServeBatch(w http.ResponseWriter, r *http.Request, limit int64,
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			*it.slot = sp.storeItem(r.Context(), it, store)
-			putBuf(it.buf)
-			putBuf(it.params)
+			PutBuf(it.buf)
+			PutBuf(it.params)
 		}()
 	}
 
@@ -172,12 +172,12 @@ func (sp *Spine) ServeBatch(w http.ResponseWriter, r *http.Request, limit int64,
 			return
 		}
 
-		buf := getBuf()
+		buf := GetBuf()
 		// Read one byte past the limit so oversized parts are detected
 		// rather than silently truncated.
 		n, rerr := io.Copy(buf, io.LimitReader(part, limit+1))
 		if rerr != nil {
-			putBuf(buf)
+			PutBuf(buf)
 			var mbe *http.MaxBytesError
 			if errors.As(rerr, &mbe) {
 				fail(http.StatusRequestEntityTooLarge, "batch body exceeds %d bytes", mbe.Limit)
@@ -191,12 +191,12 @@ func (sp *Spine) ServeBatch(w http.ResponseWriter, r *http.Request, limit int64,
 			// Attaches to the pending raw item; a failed pending item
 			// (oversized) just swallows its params.
 			if n > limit {
-				putBuf(buf)
+				PutBuf(buf)
 				pending.slot.Error = fmt.Sprintf("params part exceeds %d bytes", limit)
 				pending.slot.Status = http.StatusRequestEntityTooLarge
 				pending.failed = true
 			} else if pending.failed {
-				putBuf(buf)
+				PutBuf(buf)
 			} else {
 				pending.params = buf
 			}
@@ -217,7 +217,7 @@ func (sp *Spine) ServeBatch(w http.ResponseWriter, r *http.Request, limit int64,
 		}
 		slots = append(slots, it.slot)
 		if n > limit {
-			putBuf(buf)
+			PutBuf(buf)
 			it.buf = nil
 			it.failed = true
 			// NextPart discards the rest of the part; the whole-body cap
@@ -264,19 +264,23 @@ func (sp *Spine) storeItem(ctx context.Context, it *pendingItem, store func(Batc
 	return store(item)
 }
 
-// partPool recycles part buffers across batches.
-var partPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// bufPool recycles the byte buffers of both daemons: batch part buffers
+// here, encode outputs in the PSP.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// maxPooledPart caps the capacity a returned buffer may retain, so one huge
-// part does not pin its buffer in the pool forever.
-const maxPooledPart = 8 << 20
+// maxPooledBuf caps the capacity a returned buffer may retain, so one huge
+// part or image does not pin its buffer in the pool forever.
+const maxPooledBuf = 8 << 20
 
-func getBuf() *bytes.Buffer { return partPool.Get().(*bytes.Buffer) }
+// GetBuf returns an empty pooled buffer.
+func GetBuf() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
 
-func putBuf(b *bytes.Buffer) {
-	if b == nil || b.Cap() > maxPooledPart {
+// PutBuf recycles b (nil is ignored). Callers copy out any bytes they keep
+// first: nothing may alias b afterwards.
+func PutBuf(b *bytes.Buffer) {
+	if b == nil || b.Cap() > maxPooledBuf {
 		return
 	}
 	b.Reset()
-	partPool.Put(b)
+	bufPool.Put(b)
 }
