@@ -1,109 +1,134 @@
 package jpegc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 )
 
 // This file implements the entropy-coded-segment bit I/O around 64-bit
-// accumulators (DESIGN.md §11): the writer packs whole Huffman symbols and
-// stages bytes in a pooled buffer instead of issuing per-byte Writes; the
+// accumulators (DESIGN.md §11): the writer packs whole Huffman symbols into
+// an unstuffed per-chunk bit string that the splicer stuffs and joins; the
 // reader decodes from an in-memory segment, refilling its accumulator by
-// words with inline 0xFF00 unstuffing instead of bit-at-a-time byte reads.
+// words with inline 0xFF00 unstuffing instead of bit-at-a-time byte reads,
+// and can report its position as an unstuffed bit offset, which is what
+// the chunked decode synchronizes on.
 
-// bitWriter writes MSB-first bits into a JPEG entropy-coded segment,
-// inserting the mandatory 0x00 stuffing byte after every 0xFF data byte.
-// Bytes are staged in a pooled buffer and flushed to the underlying writer
-// in large chunks; release() must be called when done.
-type bitWriter struct {
-	w    io.Writer
+// bitBuf accumulates one chunk of a scan as an unstuffed MSB-first bit
+// string. Chunks are emitted independently and spliceScan joins them, so
+// the writer never needs to know where in the stream its bits land: 0xFF
+// stuffing, the final padding and restart markers are all the splice's job.
+type bitBuf struct {
 	acc  uint64
-	nAcc uint
+	nAcc uint // bits pending in acc; below 32 between calls
 	buf  []byte
-	err  error
 }
 
-// writerFlushAt is the staging-buffer occupancy that triggers a flush to
-// the underlying writer. It stays below the pooled buffer's capacity so
-// appends rarely reallocate.
-const writerFlushAt = 1 << 15
-
-func newBitWriter(w io.Writer) *bitWriter {
-	return &bitWriter{w: w, buf: byteBufPool.GetEmpty(byteBufCap)}
-}
-
-// release returns the staging buffer to the pool. The writer must not be
-// used afterwards.
-func (bw *bitWriter) release() {
-	byteBufPool.Put(bw.buf)
-	bw.buf = nil
-}
-
-// WriteBits writes the low n bits of v, most significant first. n <= 32,
+// WriteBits appends the low n bits of v, most significant first. n <= 32,
 // so one call can carry a full Huffman code plus its magnitude bits.
-func (bw *bitWriter) WriteBits(v uint32, n uint) {
-	if bw.err != nil || n == 0 {
-		return
+func (b *bitBuf) WriteBits(v uint32, n uint) {
+	b.acc = b.acc<<n | uint64(v)&(1<<n-1)
+	b.nAcc += n
+	if b.nAcc >= 32 {
+		b.nAcc -= 32
+		b.buf = binary.BigEndian.AppendUint32(b.buf, uint32(b.acc>>b.nAcc))
 	}
-	bw.acc = bw.acc<<n | uint64(v)&((1<<n)-1)
-	bw.nAcc += n
-	for bw.nAcc >= 8 {
-		bw.nAcc -= 8
-		b := byte(bw.acc >> bw.nAcc)
-		bw.buf = append(bw.buf, b)
-		if b == 0xff {
-			bw.buf = append(bw.buf, 0x00)
+}
+
+// drain moves every whole pending byte into buf.
+func (b *bitBuf) drain() {
+	for b.nAcc >= 8 {
+		b.nAcc -= 8
+		b.buf = append(b.buf, byte(b.acc>>b.nAcc))
+	}
+}
+
+// alignOnes pads the bit string to a byte boundary with 1-bits, as the
+// JPEG standard requires before a restart marker, and drains it into buf.
+func (b *bitBuf) alignOnes() {
+	if r := b.nAcc % 8; r != 0 {
+		b.WriteBits(1<<(8-r)-1, 8-r)
+	}
+	b.drain()
+}
+
+// finish drains the pending bits into buf, the last partial byte
+// left-aligned over zero bits, and returns the bit string's length.
+func (b *bitBuf) finish() int {
+	n := 8*len(b.buf) + int(b.nAcc)
+	b.drain()
+	if b.nAcc > 0 {
+		b.buf = append(b.buf, byte(b.acc<<(8-b.nAcc)))
+		b.nAcc = 0
+	}
+	return n
+}
+
+// splicer writes bit strings as one entropy-coded segment: it shifts each
+// string into place behind the previous one, inserts the 0x00 stuffing
+// byte after every 0xFF data byte, and emits restart markers unstuffed.
+type splicer struct {
+	out   []byte // finished, stuffed bytes
+	carry byte   // the pending partial byte: its top r bits are data
+	r     uint
+}
+
+// appendBits appends the first nbits bits of src. Bits of src past nbits
+// must be zero.
+func (s *splicer) appendBits(src []byte, nbits int) {
+	full := nbits / 8
+	r := s.r
+	// Eight whole bytes at a time: shift them into place behind the carry
+	// and copy them out unless one of the shifted bytes is 0xFF.
+	for ; full >= 8; full -= 8 {
+		w := binary.BigEndian.Uint64(src)
+		o := uint64(s.carry)<<56 | w>>r
+		s.carry = byte(w << (8 - r))
+		if inv := ^o; (inv-0x0101010101010101)&^inv&0x8080808080808080 == 0 {
+			s.out = binary.BigEndian.AppendUint64(s.out, o)
+		} else {
+			for i := 56; i >= 0; i -= 8 {
+				s.put(byte(o >> i))
+			}
+		}
+		src = src[8:]
+	}
+	for _, x := range src[:full] {
+		s.put(s.carry | x>>r)
+		s.carry = x << (8 - r)
+	}
+	if k := uint(nbits % 8); k > 0 {
+		x := src[full]
+		if r+k >= 8 {
+			s.put(s.carry | x>>r)
+			s.carry, s.r = x<<(8-r), r+k-8
+		} else {
+			s.carry, s.r = s.carry|x>>r, r+k
 		}
 	}
-	if len(bw.buf) >= writerFlushAt {
-		bw.flushBuf()
+}
+
+// put appends one finished data byte, stuffed.
+func (s *splicer) put(b byte) {
+	s.out = append(s.out, b)
+	if b == 0xff {
+		s.out = append(s.out, 0x00)
 	}
 }
 
-// flushBuf drains the staging buffer to the underlying writer.
-func (bw *bitWriter) flushBuf() {
-	if bw.err == nil && len(bw.buf) > 0 {
-		if _, err := bw.w.Write(bw.buf); err != nil {
-			bw.err = err
-		}
-	}
-	bw.buf = bw.buf[:0]
-}
-
-// padToByte pads any partial byte with 1-bits (as the JPEG standard
-// requires) and drains it into the staging buffer.
-func (bw *bitWriter) padToByte() {
-	if bw.nAcc > 0 {
-		bw.WriteBits((1<<(8-bw.nAcc))-1, 8-bw.nAcc)
+// padToByte completes the pending partial byte with 1-bits.
+func (s *splicer) padToByte() {
+	if s.r > 0 {
+		s.put(s.carry | 0xff>>s.r)
+		s.carry, s.r = 0, 0
 	}
 }
 
-// WriteRestart pads to a byte boundary and emits RST(idx mod 8). Restart
-// markers are real markers: they are not byte-stuffed.
-func (bw *bitWriter) WriteRestart(idx int) {
-	if bw.err != nil {
-		return
-	}
-	bw.padToByte()
-	bw.buf = append(bw.buf, 0xff, markerRST0+byte(idx&7))
-}
-
-// setErr records the first error encountered by callers that detect
-// problems outside WriteBits itself.
-func (bw *bitWriter) setErr(err error) {
-	if bw.err == nil {
-		bw.err = err
-	}
-}
-
-// Flush pads the final partial byte and writes all staged bytes out.
-func (bw *bitWriter) Flush() error {
-	if bw.err != nil {
-		return bw.err
-	}
-	bw.padToByte()
-	bw.flushBuf()
-	return bw.err
+// restart pads to a byte boundary and emits RST(idx mod 8). Restart markers
+// are real markers: they are not stuffed.
+func (s *splicer) restart(idx int) {
+	s.padToByte()
+	s.out = append(s.out, 0xff, markerRST0+byte(idx&7))
 }
 
 // bitReader reads MSB-first bits from an in-memory entropy-coded segment,
@@ -117,6 +142,9 @@ type bitReader struct {
 	nAcc   uint
 	stop   bool // no more bytes: marker, dangling 0xFF, or end of data
 	marker byte // the marker byte that stopped the stream, if any
+	// skipped counts the stuffing bytes consumed, so bitPos can convert
+	// byte positions to unstuffed bit offsets.
+	skipped int
 }
 
 func newBitReader(data []byte) bitReader { return bitReader{data: data} }
@@ -162,6 +190,7 @@ func (br *bitReader) fill() {
 				break
 			}
 			pos += 2 // 0xFF00 unstuffs to a 0xFF data byte
+			br.skipped++
 		} else {
 			pos++
 		}
@@ -169,6 +198,12 @@ func (br *bitReader) fill() {
 		br.nAcc += 8
 	}
 	br.pos = pos
+}
+
+// bitPos returns the offset, in unstuffed bits from the start of data, of
+// the next bit the reader returns.
+func (br *bitReader) bitPos() int64 {
+	return 8*int64(br.pos-br.skipped) - int64(br.nAcc)
 }
 
 // exhausted returns the error for running out of bits.

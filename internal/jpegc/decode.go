@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sync"
 
 	"puppies/internal/dct"
@@ -20,9 +22,16 @@ import (
 // survives decode→encode bit-exactly (see Image.Normalize444 for the
 // legacy 4:4:4 conversion). Progressive streams return an error.
 func Decode(r io.Reader) (*Image, error) {
+	return decode(r, 0)
+}
+
+// decode is Decode with the scan split into the given number of chunks;
+// chunks <= 0 derives the count from the block count (scanChunks). Any
+// count decodes the same image.
+func decode(r io.Reader, chunks int) (*Image, error) {
 	br := decReaderPool.Get().(*bufio.Reader)
 	br.Reset(r)
-	d := &decoder{r: br}
+	d := &decoder{r: br, chunks: chunks}
 	err := d.run()
 	br.Reset(nil)
 	decReaderPool.Put(br)
@@ -80,6 +89,11 @@ type decoder struct {
 	// pending is a marker byte captured while buffering entropy-coded data,
 	// handed back to the marker loop by nextMarker.
 	pending byte
+	// zeroed reports that every grid came zeroed from the allocator, so the
+	// scan need not zero blocks before decoding into them.
+	zeroed bool
+	// chunks is the scan's chunk count; 0 derives it (scanChunks).
+	chunks int
 }
 
 func (d *decoder) run() error {
@@ -350,18 +364,19 @@ func (d *decoder) parseSOF() error {
 	}
 	// Allocate per-component grids padded to whole MCUs; finishSampling
 	// trims the padding back to each component's nominal grid after the
-	// scan.
+	// scan. Recycled grids are not cleared: a scan that decodes writes
+	// every block of them, zeroing each just before, and a failed one is
+	// recycled unread.
 	mcusX := (w + 8*d.maxH - 1) / (8 * d.maxH)
 	mcusY := (h + 8*d.maxV - 1) / (8 * d.maxV)
 	d.img = &Image{W: w, H: h, Comps: make([]Component, nComp)}
+	d.zeroed = true
 	for i := range d.img.Comps {
 		bw := mcusX * d.comps[i].hSamp
 		bh := mcusY * d.comps[i].vSamp
-		d.img.Comps[i] = Component{
-			BlocksW: bw,
-			BlocksH: bh,
-			Blocks:  blockSlabPool.Get(bw * bh),
-		}
+		blocks, zeroed := getGrid(bw * bh)
+		d.img.Comps[i] = Component{BlocksW: bw, BlocksH: bh, Blocks: blocks}
+		d.zeroed = d.zeroed && zeroed
 	}
 	d.sawSOF = true
 	return nil
@@ -431,16 +446,27 @@ func (d *decoder) parseSOSAndScan() error {
 	return nil
 }
 
-// segGrainMCUs sizes the parallel chunks of the restart-segment decode: a
-// chunk always covers at least this many MCUs' worth of segments, so tiny
-// restart intervals do not drown the pool in single-MCU tasks.
-const segGrainMCUs = 64
+// chunkMinBlocks is the fewest blocks one chunk of a parallel scan decode
+// or encode covers. Below it the per-chunk records, the sync run-past and
+// the splice outweigh the gain, so a scan under two chunks' worth (a QVGA
+// 4:2:0 image has 1,800 blocks) takes the serial walk.
+const chunkMinBlocks = 4096
 
-// decodeScan buffers the scan's entropy-coded data, splits it at restart
-// markers, and decodes the segments — concurrently when the stream has
-// restart intervals and more than one segment. Each segment starts with
-// fresh DC predictors and writes a disjoint MCU range, so parallel and
-// serial decodes are bit-identical (TestRestartParallelDecodeDeterministic).
+// scanChunks returns how many chunks a scan of the given block count is
+// split into: one per worker, each at least chunkMinBlocks.
+func scanChunks(blocks int) int {
+	return max(1, min(parallel.Workers(), blocks/chunkMinBlocks))
+}
+
+// decodeScan buffers the scan's entropy-coded data and decodes it in
+// chunks (DESIGN.md §11, "Parallel entropy coding"). A chunk whose start is
+// known — the scan start or a restart segment, where the DC predictors
+// reset — decodes straight into the grids (confirm). Restart-free data has
+// one known start, so it is cut at byte positions and every later chunk
+// decodes speculatively (speculate); syncChunks then confirms each chunk
+// where the previous chunk's decode meets one of its block starts, and
+// expand writes the confirmed blocks out. One chunk is the serial decode.
+// The image is bit-identical at any chunk count.
 func (d *decoder) decodeScan() error {
 	for ci := range d.comps {
 		if d.dcDec[d.comps[ci].dcTable] == nil || d.acDec[d.comps[ci].acTable] == nil {
@@ -452,43 +478,366 @@ func (d *decoder) decodeScan() error {
 	if err != nil {
 		return err
 	}
-	segs := splitRestartSegments(buf)
-
-	mcusX := d.img.Comps[0].BlocksW / d.comps[0].hSamp
-	mcusY := d.img.Comps[0].BlocksH / d.comps[0].vSamp
-	totalMCUs := mcusX * mcusY
-	interval := d.restartInterval
-	if interval <= 0 {
-		if len(segs) != 1 {
-			return fmt.Errorf("jpegc: restart marker in scan without DRI")
+	lay := d.layout()
+	n := d.chunks
+	if n <= 0 {
+		n = scanChunks(lay.total)
+	}
+	chunks, err := d.planChunks(splitRestartSegments(buf), lay, n)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		for c := range chunks {
+			chunks[c].release()
 		}
-		return d.decodeSegment(segs[0], 0, totalMCUs, mcusX)
-	}
-	if want := (totalMCUs + interval - 1) / interval; len(segs) != want {
-		return fmt.Errorf("jpegc: scan has %d restart segments, want %d", len(segs), want)
-	}
-	// Batch whole segments so each chunk decodes >= segGrainMCUs MCUs.
-	grain := 1
-	if interval < segGrainMCUs {
-		grain = (segGrainMCUs + interval - 1) / interval
-	}
-	errs := make([]error, len(segs))
-	parallel.For(len(segs), grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mcuLo := i * interval
-			mcuHi := mcuLo + interval
-			if mcuHi > totalMCUs {
-				mcuHi = totalMCUs
+	}()
+	parallel.For(len(chunks), (len(chunks)+n-1)/n, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			ch := &chunks[c]
+			if ch.cur.g >= 0 {
+				_, ch.err = d.confirm(&ch.cur, lay, ch.gEnd, ch.end, nil)
+			} else {
+				d.speculate(ch, lay)
 			}
-			errs[i] = d.decodeSegment(segs[i], mcuLo, mcuHi, mcusX)
 		}
 	})
-	for _, err := range errs {
+	if d.restartInterval > 0 || len(chunks) == 1 {
+		for c := range chunks {
+			if chunks[c].err != nil {
+				return chunks[c].err
+			}
+		}
+		return nil
+	}
+	if err := d.syncChunks(chunks, lay); err != nil {
+		return err
+	}
+	d.expand(chunks, lay)
+	return nil
+}
+
+// maxMCUBlocks bounds the blocks of one MCU: three components sampled at
+// up to 2x2.
+const maxMCUBlocks = 12
+
+// scanLayout maps the scan's block sequence onto the MCU-padded grids:
+// global block g is slot g%bpm of MCU g/bpm.
+type scanLayout struct {
+	bpm, mcusX, total int
+	slots             [maxMCUBlocks]scanSlot
+}
+
+// scanSlot is one block position of an MCU.
+type scanSlot struct {
+	ci, hs, vs, dx, dy int
+	dc, ac             *decTable
+}
+
+func (d *decoder) layout() *scanLayout {
+	c0 := &d.img.Comps[0]
+	lay := &scanLayout{mcusX: c0.BlocksW / d.comps[0].hSamp}
+	for ci := range d.comps {
+		dc := &d.comps[ci]
+		for v := 0; v < dc.vSamp; v++ {
+			for h := 0; h < dc.hSamp; h++ {
+				lay.slots[lay.bpm] = scanSlot{ci: ci, hs: dc.hSamp, vs: dc.vSamp, dx: h, dy: v,
+					dc: d.dcDec[dc.dcTable], ac: d.acDec[dc.acTable]}
+				lay.bpm++
+			}
+		}
+	}
+	lay.total = lay.mcusX * (c0.BlocksH / d.comps[0].vSamp) * lay.bpm
+	return lay
+}
+
+// block returns global block g's grid position and storage.
+func (d *decoder) block(lay *scanLayout, g int) (s *scanSlot, bx, by int, b *dct.Block) {
+	mcu := g / lay.bpm
+	s = &lay.slots[g%lay.bpm]
+	bx, by = mcu%lay.mcusX*s.hs+s.dx, mcu/lay.mcusX*s.vs+s.dy
+	c := &d.img.Comps[s.ci]
+	return s, bx, by, &c.Blocks[by*c.BlocksW+bx]
+}
+
+// cursor is a decode whose place in the scan is known: its next block is
+// global block g (g < 0 while a speculative chunk's place is unknown).
+type cursor struct {
+	br   bitReader
+	base int64 // scan bit offset of br.data[0]
+	g    int
+	pred [4]int32
+}
+
+// noEnd is the bit offset of a chunk that runs to the end of its data.
+const noEnd = math.MaxInt64
+
+// blockRec is what a speculative chunk records for each block it decodes:
+// the block's start (scan bit offset and the MCU slot it was decoded as),
+// its DC difference (its DC value once confirmed), and where its AC
+// coefficients sit in the chunk's coefficient list.
+type blockRec struct {
+	pos  int64
+	dc   int32
+	off  uint32
+	slot uint8
+	n    uint8
+}
+
+// scanChunk is one chunk of the scan decode.
+type scanChunk struct {
+	cur  cursor
+	gEnd int   // a known chunk decodes blocks [cur.g, gEnd)
+	end  int64 // scan bit offset where the next chunk starts
+	err  error // a known chunk's error, or the error that stopped the speculation at its last record
+	// Speculative output: the records, their AC coefficients (natural
+	// index << 16 | uint16 value), and after syncChunks the confirmed
+	// records [first, last), the first of them global block g0.
+	recs            []blockRec
+	coefs           []uint32
+	first, last, g0 int
+}
+
+var (
+	recPool  parallel.SlicePool[blockRec]
+	coefPool parallel.SlicePool[uint32]
+)
+
+func (ch *scanChunk) release() {
+	if ch.recs != nil {
+		recPool.Put(ch.recs)
+		coefPool.Put(ch.coefs)
+	}
+}
+
+// planChunks cuts the scan into n chunks. A stream with restart intervals
+// is cut at its segments, n runs of whole segments, each segment a known
+// chunk. A restart-free stream is cut at n byte positions: the first chunk
+// is known, the rest speculative.
+func (d *decoder) planChunks(segs [][]byte, lay *scanLayout, n int) ([]scanChunk, error) {
+	totalMCUs := lay.total / lay.bpm
+	interval := d.restartInterval
+	if interval > 0 {
+		if want := (totalMCUs + interval - 1) / interval; len(segs) != want {
+			return nil, fmt.Errorf("jpegc: scan has %d restart segments, want %d", len(segs), want)
+		}
+		chunks := make([]scanChunk, len(segs))
+		for i, seg := range segs {
+			chunks[i] = scanChunk{
+				cur:  cursor{br: newBitReader(seg), g: i * interval * lay.bpm},
+				gEnd: min((i+1)*interval, totalMCUs) * lay.bpm,
+				end:  noEnd,
+			}
+		}
+		return chunks, nil
+	}
+	if len(segs) != 1 {
+		return nil, fmt.Errorf("jpegc: restart marker in scan without DRI")
+	}
+	data := segs[0]
+	chunks := make([]scanChunk, n)
+	start, stuffed := 0, 0
+	for c := range chunks {
+		ch := &chunks[c]
+		ch.cur.base = 8 * int64(start-stuffed)
+		ch.cur.br = newBitReader(data[start:])
+		ch.gEnd, ch.end = lay.total, noEnd
+		// The next chunk starts at the next cut, moved past a stuffing
+		// byte so it never opens on the 0x00 of an 0xFF00 pair.
+		next := max(start, (c+1)*len(data)/n)
+		if next > 0 && next < len(data) && data[next-1] == 0xff {
+			next++
+		}
+		if c > 0 {
+			ch.cur.g = -1
+			chunks[c-1].end = ch.cur.base
+			// A block takes at least two bits (a DC code and an EOB), so
+			// the data, not the declared size, bounds the records.
+			est := min(lay.total/n, 4*(next-start)) + 64
+			ch.recs, ch.coefs = recPool.GetEmpty(est), coefPool.GetEmpty(est)
+		}
+		stuffed += bytes.Count(data[start:next], []byte{0xff})
+		start = next
+	}
+	return chunks, nil
+}
+
+// confirm decodes blocks from a cursor whose place is known into their
+// grid positions, zeroing each first. It stops when block gEnd is reached,
+// when the next block would start at or past end, or when the next block's
+// start and slot match a record in recs (sorted by start), returning that
+// record's index; otherwise it returns -1.
+func (d *decoder) confirm(cur *cursor, lay *scanLayout, gEnd int, end int64, recs []blockRec) (int, error) {
+	// The walk works on a local copy of the reader, which the compiler
+	// keeps off the heap, and hands its state back on the way out.
+	br := cur.br
+	defer func() { cur.br = br }()
+	k := 0
+	slot, mcu := cur.g%lay.bpm, cur.g/lay.bpm
+	mx, my := mcu%lay.mcusX, mcu/lay.mcusX
+	watch := end != noEnd || len(recs) > 0 // the serial walk never stops early
+	for ; cur.g < gEnd; cur.g++ {
+		if watch {
+			p := cur.base + br.bitPos()
+			if p >= end {
+				return -1, nil
+			}
+			for k < len(recs) && recs[k].pos < p {
+				k++
+			}
+			if k < len(recs) && recs[k].pos == p && int(recs[k].slot) == slot {
+				return k, nil
+			}
+		}
+		s := &lay.slots[slot]
+		c := &d.img.Comps[s.ci]
+		bx, by := mx*s.hs+s.dx, my*s.vs+s.dy
+		b := &c.Blocks[by*c.BlocksW+bx]
+		if !d.zeroed {
+			*b = dct.Block{}
+		}
+		diff, _, err := decodeBlock(&br, s.dc, s.ac, b)
+		dc := cur.pred[s.ci] + diff
+		if err == nil && !dcInRange(dc) {
+			err = dcRangeError(dc)
+		}
+		if err != nil {
+			return -1, fmt.Errorf("jpegc: block (%d,%d) component %d: %w", bx, by, s.ci, err)
+		}
+		cur.pred[s.ci], b[0] = dc, dc
+		if slot++; slot == lay.bpm {
+			slot = 0
+			if mx++; mx == lay.mcusX {
+				mx, my = 0, my+1
+			}
+		}
+	}
+	return -1, nil
+}
+
+// dcInRange reports whether an accumulated DC value is a baseline
+// coefficient. A conforming stream keeps the accumulated DC inside the
+// 11-bit range; a hostile diff sequence can walk the predictor anywhere,
+// so the decode bounds it, or the image would decode to coefficients the
+// encoder (correctly) refuses to represent.
+func dcInRange(v int32) bool { return v >= dct.CoeffMin && v <= dct.CoeffMax }
+
+func dcRangeError(v int32) error {
+	return fmt.Errorf("jpegc: DC coefficient %d out of range [%d,%d]", v, dct.CoeffMin, dct.CoeffMax)
+}
+
+// speculate decodes a chunk whose place in the scan is unknown, guessing
+// that its first byte starts an MCU's first (luma) block. It records every
+// block that starts before the chunk's end, and stops at the first error
+// (recorded as the last record) or once it holds more records than the
+// scan has blocks, as no more of them can stand.
+func (d *decoder) speculate(ch *scanChunk, lay *scanLayout) {
+	var scratch dct.Block // AC positions stay zero between blocks
+	br := ch.cur.br       // a local copy, as in confirm
+	defer func() { ch.cur.br = br }()
+	for slot := 0; len(ch.recs) <= lay.total; {
+		p := ch.cur.base + br.bitPos()
+		if p >= ch.end {
+			return
+		}
+		s := &lay.slots[slot]
+		diff, mask, err := decodeBlock(&br, s.dc, s.ac, &scratch)
+		rec := blockRec{pos: p, dc: diff, off: uint32(len(ch.coefs)), slot: uint8(slot)}
+		ch.recs = append(ch.recs, rec)
+		if err != nil {
+			ch.err = err
+			return
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			i := dct.ZigZag[bits.TrailingZeros64(mask)]
+			ch.coefs = append(ch.coefs, uint32(i)<<16|uint32(uint16(scratch[i])))
+			scratch[i] = 0
+		}
+		ch.recs[len(ch.recs)-1].n = uint8(len(ch.coefs) - int(rec.off))
+		if slot++; slot == lay.bpm {
+			slot = 0
+		}
+	}
+}
+
+// syncChunks confirms the speculative chunks in scan order. The confirmed
+// decode, starting from the first chunk's end, runs on past each chunk
+// boundary until one of its block starts equals one the next chunk
+// recorded (same bit offset, same MCU slot): from that record on, the
+// chunk decoded exactly what the confirmed decode would have, so its
+// records stand and the confirmed decode resumes from the chunk's end. A
+// chunk it passes without a match it has decoded itself; it then tries the
+// chunk after. Standing records get their DC values here, a serial
+// per-component prefix sum over the differences with the range check the
+// confirmed decode applies, so errors surface in scan order.
+func (d *decoder) syncChunks(chunks []scanChunk, lay *scanLayout) error {
+	if chunks[0].err != nil {
+		return chunks[0].err
+	}
+	cur := chunks[0].cur
+	for c := 1; c < len(chunks) && cur.g < lay.total; c++ {
+		ch := &chunks[c]
+		k, err := d.confirm(&cur, lay, lay.total, ch.end, ch.recs)
 		if err != nil {
 			return err
 		}
+		if k < 0 {
+			continue
+		}
+		ch.first, ch.g0 = k, cur.g
+		j := k
+		for ; j < len(ch.recs) && cur.g < lay.total; j, cur.g = j+1, cur.g+1 {
+			r := &ch.recs[j]
+			ci := lay.slots[r.slot].ci
+			dc := cur.pred[ci] + r.dc
+			switch {
+			case ch.err != nil && j == len(ch.recs)-1:
+				err = ch.err
+			case !dcInRange(dc):
+				err = dcRangeError(dc)
+			}
+			if err != nil {
+				s, bx, by, _ := d.block(lay, cur.g)
+				return fmt.Errorf("jpegc: block (%d,%d) component %d: %w", bx, by, s.ci, err)
+			}
+			cur.pred[ci], r.dc = dc, dc
+		}
+		ch.last = j
+		cur.br, cur.base = ch.cur.br, ch.cur.base
 	}
-	return nil
+	_, err := d.confirm(&cur, lay, lay.total, noEnd, nil)
+	return err
+}
+
+// expandGrain is the number of confirmed records per task of expand.
+const expandGrain = 1024
+
+// expand writes every chunk's confirmed records into their grid blocks,
+// zeroing each block first unless the grids came zeroed, in parallel.
+func (d *decoder) expand(chunks []scanChunk, lay *scanLayout) {
+	type span struct{ c, lo, hi int }
+	var spans []span
+	for c := range chunks {
+		for lo := chunks[c].first; lo < chunks[c].last; lo += expandGrain {
+			spans = append(spans, span{c, lo, min(lo+expandGrain, chunks[c].last)})
+		}
+	}
+	parallel.For(len(spans), 1, func(lo, hi int) {
+		for _, sp := range spans[lo:hi] {
+			ch := &chunks[sp.c]
+			for j := sp.lo; j < sp.hi; j++ {
+				r := &ch.recs[j]
+				_, _, _, b := d.block(lay, ch.g0+j-ch.first)
+				if !d.zeroed {
+					*b = dct.Block{}
+				}
+				b[0] = r.dc
+				for _, v := range ch.coefs[r.off : r.off+uint32(r.n)] {
+					b[v>>16&(dct.BlockLen-1)] = int32(int16(v))
+				}
+			}
+		}
+	})
 }
 
 // readEntropyData appends the scan's entropy-coded bytes (stuffing and
@@ -558,86 +907,55 @@ func splitRestartSegments(data []byte) [][]byte {
 	return append(segs, data[start:])
 }
 
-// decodeSegment entropy-decodes MCUs [mcuLo, mcuHi) from one restart
-// segment, starting from zeroed DC predictors.
-func (d *decoder) decodeSegment(data []byte, mcuLo, mcuHi, mcusX int) error {
-	br := newBitReader(data)
-	var pred [4]int32
-	for mcu := mcuLo; mcu < mcuHi; mcu++ {
-		mx, my := mcu%mcusX, mcu/mcusX
-		for ci := range d.comps {
-			dcT := d.dcDec[d.comps[ci].dcTable]
-			acT := d.acDec[d.comps[ci].acTable]
-			for v := 0; v < d.comps[ci].vSamp; v++ {
-				for hh := 0; hh < d.comps[ci].hSamp; hh++ {
-					bx := mx*d.comps[ci].hSamp + hh
-					by := my*d.comps[ci].vSamp + v
-					if err := decodeBlock(&br, dcT, acT, &pred[ci], d.img.Comps[ci].Block(bx, by)); err != nil {
-						return fmt.Errorf("jpegc: block (%d,%d) component %d: %w", bx, by, ci, err)
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// decodeBlock entropy-decodes one block into *b, which must be zeroed
-// (freshly allocated component storage is).
-func decodeBlock(br *bitReader, dcT, acT *decTable, pred *int32, b *dct.Block) error {
+// decodeBlock entropy-decodes one block: it writes the AC coefficients
+// into *b, whose AC positions must be zero, and returns the DC difference
+// and the zigzag mask of the AC positions it wrote. b[0] is left alone.
+func decodeBlock(br *bitReader, dcT, acT *decTable, b *dct.Block) (diff int32, mask uint64, err error) {
 	cat, err := dcT.decode(br)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	if cat > 11 {
-		return fmt.Errorf("jpegc: DC category %d out of range", cat)
+		return 0, 0, fmt.Errorf("jpegc: DC category %d out of range", cat)
 	}
 	bits, err := br.ReadBits(int(cat))
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	diff := extendMagnitude(bits, int(cat))
-	*pred += diff
-	// A conforming baseline stream keeps the accumulated DC inside the
-	// 11-bit coefficient range; a hostile diff sequence can walk the
-	// predictor anywhere, so bound it here or the image would decode to
-	// coefficients the encoder (correctly) refuses to represent.
-	if *pred < dct.CoeffMin || *pred > dct.CoeffMax {
-		return fmt.Errorf("jpegc: DC coefficient %d out of range [%d,%d]", *pred, dct.CoeffMin, dct.CoeffMax)
-	}
-	b[0] = *pred
+	diff = extendMagnitude(bits, int(cat))
 
 	zz := 1
 	for zz < dct.BlockLen {
 		sym, err := acT.decode(br)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		run := int(sym >> 4)
 		size := int(sym & 0x0f)
 		switch {
 		case size == 0 && run == 0: // EOB
-			return nil
+			return diff, mask, nil
 		case size == 0 && run == 15: // ZRL
 			zz += 16
 		case size == 0:
-			return fmt.Errorf("jpegc: invalid AC symbol %#x", sym)
+			return 0, 0, fmt.Errorf("jpegc: invalid AC symbol %#x", sym)
 		case size > 10:
 			// Baseline AC categories stop at 10; larger sizes would decode
 			// to coefficients outside [-1023, 1023].
-			return fmt.Errorf("jpegc: AC category %d out of range", size)
+			return 0, 0, fmt.Errorf("jpegc: AC category %d out of range", size)
 		default:
 			zz += run
 			if zz >= dct.BlockLen {
-				return fmt.Errorf("jpegc: AC run overflows block")
+				return 0, 0, fmt.Errorf("jpegc: AC run overflows block")
 			}
 			bits, err := br.ReadBits(size)
 			if err != nil {
-				return err
+				return 0, 0, err
 			}
 			b[dct.ZigZag[zz]] = extendMagnitude(bits, size)
+			mask |= 1 << (uint(zz) & 63) // zz < 64 here; the mask skips the shift checks
 			zz++
 		}
 	}
-	return nil
+	return diff, mask, nil
 }

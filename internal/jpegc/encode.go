@@ -53,6 +53,13 @@ type tableSet struct {
 // filled by edge-block replication, which round-trips: the decoder writes
 // them into the padded grid and trims them away.
 func (m *Image) Encode(w io.Writer, opts EncodeOptions) error {
+	return m.encode(w, opts, 0)
+}
+
+// encode is Encode with the scan split into the given number of chunks;
+// chunks <= 0 derives the count from the block count (scanChunks). Any
+// count writes the same bytes.
+func (m *Image) encode(w io.Writer, opts EncodeOptions, chunks int) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -85,7 +92,7 @@ func (m *Image) Encode(w io.Writer, opts EncodeOptions) error {
 	if err := writeMarkers(w, m, &tables, opts.RestartInterval); err != nil {
 		return err
 	}
-	if err := m.writeScan(w, &tables, &masks, opts.RestartInterval); err != nil {
+	if err := m.writeScan(w, &tables, &masks, opts.RestartInterval, chunks); err != nil {
 		return err
 	}
 	_, err = w.Write([]byte{0xff, markerEOI})
@@ -315,7 +322,7 @@ func writeMarkers(w io.Writer, m *Image, tables *tableSet, restartInterval int) 
 // zero run before each is the gap between consecutive set bits. countBlock
 // must emit the identical symbol stream — the two walks are deliberately
 // parallel; TestEncodeMatchesReferenceWalk holds both to the scalar walk.
-func encodeBlock(bw *bitWriter, b *dct.Block, mask uint64, pred int32, dcT, acT *encTable) (int32, error) {
+func encodeBlock(bw *bitBuf, b *dct.Block, mask uint64, pred int32, dcT, acT *encTable) (int32, error) {
 	diff := b[0] - pred
 	cat := magnitudeCategory(diff)
 	if dcT.size[cat] == 0 {
@@ -395,13 +402,28 @@ func (c *Component) clampedIndex(bx, by int) int {
 	return min(by, c.BlocksH-1)*c.BlocksW + min(bx, c.BlocksW-1)
 }
 
+// dcPredictors returns the DC predictors a walk starting at MCU mcu
+// begins with: the stored DC of the last block each component emits in MCU
+// mcu-1, or zero at the scan start. A block's predictor is the previous
+// block's coefficient, not encoder state, so the scan can be cut into MCU
+// chunks that are walked independently; walks still reset the predictors
+// at restart boundaries themselves.
+func (m *Image) dcPredictors(mcu, mcusX int) (pred [4]int32) {
+	if mcu == 0 {
+		return pred
+	}
+	pmx, pmy := (mcu-1)%mcusX, (mcu-1)/mcusX
+	for ci := range m.Comps {
+		c := &m.Comps[ci]
+		hs, vs := c.Sampling()
+		pred[ci] = c.Blocks[c.clampedIndex(pmx*hs+hs-1, pmy*vs+vs-1)][0]
+	}
+	return pred
+}
+
 func (m *Image) gatherOptimalTables(masks *blockMasks, restartInterval int) (tableSet, error) {
-	// The statistics pass is embarrassingly parallel: the DC symbol of MCU
-	// i depends only on the stored DC of MCU i-1 (the predictor is the
-	// previous block's coefficient, not an encoder-state value), or on
-	// zero when MCU i starts a restart interval, so each chunk seeds its
-	// predictors from the last block its component emits in the MCU just
-	// before it. Histograms are integer counts, so merging per-chunk
+	// The statistics pass is embarrassingly parallel: each chunk seeds its
+	// predictors with dcPredictors. Histograms are integer counts, so merging per-chunk
 	// partials is exact and order-independent. The per-chunk histograms
 	// (8 KiB each) come from a pool and go back after the merge. The walk
 	// must count the identical symbol stream writeScan emits, replicated
@@ -410,15 +432,7 @@ func (m *Image) gatherOptimalTables(masks *blockMasks, restartInterval int) (tab
 	nMCU := mcusX * mcusY
 	parts := parallel.Map(nMCU, histGrain, func(lo, hi int) *symbolHist {
 		h := getHist()
-		var pred [4]int32
-		if lo > 0 {
-			pmx, pmy := (lo-1)%mcusX, (lo-1)/mcusX
-			for ci := range m.Comps {
-				c := &m.Comps[ci]
-				hs, vs := c.Sampling()
-				pred[ci] = c.Blocks[c.clampedIndex(pmx*hs+hs-1, pmy*vs+vs-1)][0]
-			}
-		}
+		pred := m.dcPredictors(lo, mcusX)
 		for mcu := lo; mcu < hi; mcu++ {
 			if restartInterval > 0 && mcu%restartInterval == 0 {
 				pred = [4]int32{}
@@ -471,60 +485,151 @@ func (m *Image) gatherOptimalTables(masks *blockMasks, restartInterval int) (tab
 	return ts, nil
 }
 
-func (m *Image) writeScan(w io.Writer, tables *tableSet, masks *blockMasks, restartInterval int) error {
-	dcEnc := make([]*encTable, 2)
-	acEnc := make([]*encTable, 2)
-	var err error
-	if dcEnc[0], err = newEncTable(&tables.dcLum); err != nil {
-		return err
-	}
-	if acEnc[0], err = newEncTable(&tables.acLum); err != nil {
-		return err
-	}
-	if len(m.Comps) == 3 {
-		if dcEnc[1], err = newEncTable(&tables.dcChrom); err != nil {
-			return err
+// scanPart is one chunk of a scan's emit: an MCU range and, once emitted,
+// its unstuffed bit string and the byte offsets in it of its restart
+// markers.
+type scanPart struct {
+	lo, hi int
+	bits   bitBuf
+	nbits  int
+	marks  []int
+	err    error
+}
+
+// writeScan entropy-codes the scan in chunks of MCUs, each emitted in
+// parallel into its own unstuffed bit string (emitScan), and splices the
+// strings into one stuffed segment (spliceScan). The bytes are those of a
+// single serial walk at any chunk count.
+func (m *Image) writeScan(w io.Writer, tables *tableSet, masks *blockMasks, restartInterval, chunks int) error {
+	parts, err := m.emitScan(tables, masks, restartInterval, chunks)
+	defer func() {
+		for c := range parts {
+			byteBufPool.Put(parts[c].bits.buf)
 		}
-		if acEnc[1], err = newEncTable(&tables.acChrom); err != nil {
-			return err
+	}()
+	if err != nil {
+		return err
+	}
+	return spliceScan(w, parts)
+}
+
+// emitScan cuts the scan's MCUs into chunks (chunks <= 0 derives the count
+// from the block count) and emits each chunk in parallel. With restart
+// intervals, chunks start on restart boundaries, which are byte-aligned in
+// the stream, so each chunk pads its own segments. The caller recycles
+// the parts' buffers.
+func (m *Image) emitScan(tables *tableSet, masks *blockMasks, restartInterval, chunks int) ([]scanPart, error) {
+	var enc [2][2]*encTable // [table index][DC, AC]
+	specs := [2][2]*HuffmanSpec{{&tables.dcLum, &tables.acLum}, {&tables.dcChrom, &tables.acChrom}}
+	for ti := 0; ti < min(len(m.Comps), 2); ti++ {
+		for k := range enc[ti] {
+			t, err := newEncTable(specs[ti][k])
+			if err != nil {
+				return nil, err
+			}
+			enc[ti][k] = t
 		}
 	}
 
-	bw := newBitWriter(w)
-	defer bw.release()
-	var pred [4]int32
 	mcusX, mcusY := m.mcuGrid()
-	mcu, rstIndex := 0, 0
-	for my := 0; my < mcusY; my++ {
-		for mx := 0; mx < mcusX; mx++ {
-			if restartInterval > 0 && mcu > 0 && mcu%restartInterval == 0 {
-				bw.WriteRestart(rstIndex) // pad, emit RSTn, reset DC prediction
-				rstIndex++
-				pred = [4]int32{}
+	nMCU := mcusX * mcusY
+	if chunks <= 0 {
+		chunks = scanChunks(nMCU * m.mcuBlocks())
+	}
+	parts := make([]scanPart, chunks)
+	for c := range parts {
+		lo, hi := c*nMCU/chunks, (c+1)*nMCU/chunks
+		if restartInterval > 0 {
+			lo, hi = lo/restartInterval*restartInterval, hi/restartInterval*restartInterval
+			if c == chunks-1 {
+				hi = nMCU
 			}
-			mcu++
-			// An MCU carries hs x vs blocks per component (one block each in
-			// the 4:4:4 layout); padding positions replicate the edge block.
-			for ci := range m.Comps {
-				ti := 0
-				if ci > 0 {
-					ti = 1
-				}
-				c := &m.Comps[ci]
-				hs, vs := c.Sampling()
-				for v := 0; v < vs; v++ {
-					for h := 0; h < hs; h++ {
-						i := c.clampedIndex(mx*hs+h, my*vs+v)
-						next, err := encodeBlock(bw, &c.Blocks[i], masks[ci][i], pred[ci], dcEnc[ti], acEnc[ti])
-						if err != nil {
-							bw.setErr(err)
-							return bw.Flush()
-						}
-						pred[ci] = next
+		}
+		parts[c] = scanPart{lo: lo, hi: hi, bits: bitBuf{buf: byteBufPool.GetEmpty(byteBufCap)}}
+	}
+	parallel.For(chunks, 1, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			m.emitPart(&parts[c], &enc, masks, mcusX, restartInterval)
+		}
+	})
+	for c := range parts {
+		if parts[c].err != nil {
+			return parts, parts[c].err
+		}
+	}
+	return parts, nil
+}
+
+// mcuBlocks returns the number of blocks one MCU carries.
+func (m *Image) mcuBlocks() int {
+	n := 0
+	for ci := range m.Comps {
+		hs, vs := m.Comps[ci].Sampling()
+		n += hs * vs
+	}
+	return n
+}
+
+// emitPart entropy-codes MCUs [p.lo, p.hi) into p's bit string.
+func (m *Image) emitPart(p *scanPart, enc *[2][2]*encTable, masks *blockMasks, mcusX, restartInterval int) {
+	pred := m.dcPredictors(p.lo, mcusX)
+	bw := &p.bits
+	for mcu := p.lo; mcu < p.hi; mcu++ {
+		if restartInterval > 0 && mcu > 0 && mcu%restartInterval == 0 {
+			bw.alignOnes() // the segment ends; RSTn goes here
+			p.marks = append(p.marks, len(bw.buf))
+			pred = [4]int32{}
+		}
+		// An MCU carries hs x vs blocks per component (one block each in
+		// the 4:4:4 layout); padding positions replicate the edge block.
+		mx, my := mcu%mcusX, mcu/mcusX
+		for ci := range m.Comps {
+			t := enc[min(ci, 1)]
+			c := &m.Comps[ci]
+			hs, vs := c.Sampling()
+			for v := 0; v < vs; v++ {
+				for h := 0; h < hs; h++ {
+					i := c.clampedIndex(mx*hs+h, my*vs+v)
+					next, err := encodeBlock(bw, &c.Blocks[i], masks[ci][i], pred[ci], t[0], t[1])
+					if err != nil {
+						p.err = err
+						return
 					}
+					pred[ci] = next
 				}
 			}
 		}
 	}
-	return bw.Flush()
+	if restartInterval > 0 {
+		bw.alignOnes() // the next chunk starts a segment
+	}
+	p.nbits = bw.finish()
+}
+
+// spliceScan writes the parts' bit strings to w as one entropy-coded
+// segment: each string shifted into place behind the previous one, every
+// 0xFF data byte stuffed, an RSTn marker at each restart mark, and the last
+// byte padded with 1-bits.
+func spliceScan(w io.Writer, parts []scanPart) error {
+	n := 0
+	for c := range parts {
+		n += len(parts[c].bits.buf)
+	}
+	s := splicer{out: byteBufPool.GetEmpty(n + n/64 + 16)}
+	rst := 0
+	for c := range parts {
+		p := &parts[c]
+		src, done := p.bits.buf, 0
+		for _, mark := range p.marks {
+			s.appendBits(src[done:mark], 8*(mark-done))
+			s.restart(rst)
+			rst++
+			done = mark
+		}
+		s.appendBits(src[done:], p.nbits-8*done)
+	}
+	s.padToByte()
+	_, err := w.Write(s.out)
+	byteBufPool.Put(s.out)
+	return err
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"image"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// FuzzDecode is a native fuzz target for the bit-stream parser. The seed
+// FuzzDecode is a native fuzz target for the bit-stream parser, which also
+// holds the chunked scan decode to the serial one on every input. The seed
 // corpus covers a valid color stream, a valid grayscale stream, and the
 // hostile headers from the unit tests. Run with:
 //
@@ -57,10 +59,28 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(sbuf.Bytes())
 
+	// A seed whose scan is big enough to be cut into chunks by default.
+	big := randomCoeffImage(rng, 256, 208, 3)
+	var bbuf bytes.Buffer
+	if err := big.Encode(&bbuf, EncodeOptions{Tables: TablesOptimized}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bbuf.Bytes())
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := Decode(bytes.NewReader(data))
+		// The chunked decode must agree with the serial one: the same
+		// image, or an error from both. The input picks the chunk count.
+		out, err := decode(bytes.NewReader(data), 1)
+		chunks := 2 + len(data)%7
+		chunked, cerr := decode(bytes.NewReader(data), chunks)
+		if (err != nil) != (cerr != nil) {
+			t.Fatalf("serial decode error %v, %d-chunk decode error %v", err, chunks, cerr)
+		}
 		if err != nil {
 			return
+		}
+		if !sameCoeffs(out, chunked) {
+			t.Fatalf("%d-chunk decode differs from the serial decode", chunks)
 		}
 		if vErr := out.Validate(); vErr != nil {
 			t.Fatalf("Decode returned invalid image: %v", vErr)
@@ -71,4 +91,20 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("accepted image failed to re-encode: %v", encErr)
 		}
 	})
+}
+
+// sameCoeffs reports whether two images have identical geometry, tables
+// and coefficients.
+func sameCoeffs(a, b *Image) bool {
+	if a.W != b.W || a.H != b.H || len(a.Comps) != len(b.Comps) {
+		return false
+	}
+	for ci := range a.Comps {
+		x, y := &a.Comps[ci], &b.Comps[ci]
+		if x.BlocksW != y.BlocksW || x.BlocksH != y.BlocksH || x.Quant != y.Quant ||
+			x.HSamp != y.HSamp || x.VSamp != y.VSamp || !slices.Equal(x.Blocks, y.Blocks) {
+			return false
+		}
+	}
+	return true
 }

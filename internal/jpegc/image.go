@@ -265,10 +265,13 @@ const blockRowGrain = 4
 
 func componentFromPlane(p *imgplane.Plane, q *dct.QuantTable) (Component, error) {
 	bw, bh := blocksFor(p.W), blocksFor(p.H)
+	// The grid may hold a recycled image's blocks: the loop below
+	// quantizes into every block, and Quantize writes all 64 coefficients.
+	blocks, _ := getGrid(bw * bh)
 	comp := Component{
 		BlocksW: bw,
 		BlocksH: bh,
-		Blocks:  make([]dct.Block, bw*bh),
+		Blocks:  blocks,
 		Quant:   *q,
 	}
 	fq := dct.NewForwardQuantizer(q)

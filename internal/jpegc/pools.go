@@ -28,6 +28,19 @@ var (
 	maskSlabPool parallel.SlicePool[uint64]
 )
 
+// getGrid returns a coefficient grid of n blocks and whether it is zeroed.
+// A slab recycled through blockSlabPool keeps whatever a previous image
+// left in it: only for a caller that writes every block before anything
+// reads it (TestPoolsResetPoisonedBuffers holds each such caller to that).
+// A fresh slab comes zeroed from the allocator, so a caller that zeroes
+// blocks before filling them can skip that.
+func getGrid(n int) ([]dct.Block, bool) {
+	if s := blockSlabPool.GetEmpty(0); cap(s) >= n {
+		return s[:n], false
+	}
+	return make([]dct.Block, n), true
+}
+
 // byteBufCap is the smallest capacity a byte buffer is handed out with.
 const byteBufCap = 1 << 16
 

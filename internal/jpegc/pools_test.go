@@ -1,14 +1,17 @@
 package jpegc
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
+	"puppies/internal/benchgate"
 	"puppies/internal/dct"
 )
 
 // TestPoolsResetPoisonedBuffers enforces the pools.go contract: whatever
-// state an object is returned in, the next Get hands out fully reset data.
+// state an object is returned in, the next Get hands out fully reset data,
+// and a grid taken uncleared (getGrid) ends up fully overwritten.
 func TestPoolsResetPoisonedBuffers(t *testing.T) {
 	// Byte buffers: poison the contents, recycle, and check a fresh Get is
 	// empty — stale bytes must only ever be reachable by appends that
@@ -84,6 +87,54 @@ func TestPoolsResetPoisonedBuffers(t *testing.T) {
 			}
 		}
 		blockSlabPool.Put(got)
+	}
+
+	// Grids: decode and FromPlanar take theirs from blockSlabPool without
+	// clearing (getGrid), so hand them poisoned slabs and require the
+	// images they build from clean ones, serially and chunked.
+	planar := gradientPlanar(261, 187)
+	ref, err := FromPlanar(planar, Options{Quality: 85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if err := ref.Encode(&stream, EncodeOptions{Tables: TablesOptimized}); err != nil {
+		t.Fatal(err)
+	}
+	poison := func() map[*dct.Block]bool {
+		slabs := make(map[*dct.Block]bool)
+		for i := 0; i < 4; i++ {
+			s := make([]dct.Block, 2*ref.blockCount())
+			for j := range s {
+				for k := range s[j] {
+					s[j][k] = -1
+				}
+			}
+			slabs[&s[0]] = true
+			blockSlabPool.Put(s)
+		}
+		return slabs
+	}
+	for _, chunks := range []int{1, 3} {
+		slabs := poison()
+		got, err := decode(bytes.NewReader(stream.Bytes()), chunks)
+		if err != nil {
+			t.Fatalf("%d chunks: decode on poisoned grids: %v", chunks, err)
+		}
+		if !benchgate.Race && !slabs[&got.Comps[0].Blocks[0]] {
+			t.Fatalf("%d chunks: decode did not take a poisoned grid", chunks)
+		}
+		assertCoeffEqual(t, ref, got)
+
+		slabs = poison()
+		fp, err := FromPlanar(planar, Options{Quality: 85})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !benchgate.Race && !slabs[&fp.Comps[0].Blocks[0]] {
+			t.Fatal("FromPlanar did not take a poisoned grid")
+		}
+		assertCoeffEqual(t, ref, fp)
 	}
 }
 

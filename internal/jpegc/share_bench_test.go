@@ -87,6 +87,18 @@ func BenchmarkEncodeOptimizedShare(b *testing.B) {
 }
 
 func BenchmarkDecodeShare(b *testing.B) {
+	benchDecodeShare(b, false)
+}
+
+// BenchmarkDecodeShareRecycled recycles each decoded image, as the
+// production decoders that discard or finish with their image do (upload
+// validation, the facade's receivers), so the grids come from the slab
+// pool instead of being freshly allocated and zeroed by the runtime.
+func BenchmarkDecodeShareRecycled(b *testing.B) {
+	benchDecodeShare(b, true)
+}
+
+func benchDecodeShare(b *testing.B, recycle bool) {
 	img := shareImage(b)
 	var buf bytes.Buffer
 	if err := img.Encode(&buf, EncodeOptions{Tables: TablesOptimized}); err != nil {
@@ -96,8 +108,12 @@ func BenchmarkDecodeShare(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(bytes.NewReader(data)); err != nil {
+		out, err := Decode(bytes.NewReader(data))
+		if err != nil {
 			b.Fatal(err)
+		}
+		if recycle {
+			out.Recycle()
 		}
 	}
 }

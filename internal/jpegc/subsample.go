@@ -28,7 +28,7 @@ func trimComponent(comp *Component, bw, bh int) {
 	if comp.BlocksW == bw && comp.BlocksH == bh {
 		return
 	}
-	blocks := blockSlabPool.Get(bw * bh)
+	blocks, _ := getGrid(bw * bh) // the copy below fills every block
 	for by := 0; by < bh; by++ {
 		copy(blocks[by*bw:(by+1)*bw], comp.Blocks[by*comp.BlocksW:by*comp.BlocksW+bw])
 	}

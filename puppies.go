@@ -192,7 +192,9 @@ func ProtectJPEG(jpegData []byte, opts ProtectOptions) (*Protected, error) {
 // protect is the sender pipeline both entry points share. It aligns the
 // regions to img's block grid (and a subsampled img's MCU grid, else
 // normalizes img to 4:4:4), perturbs them in place under opts' scheme and
-// key policy, and encodes the image and its public parameters.
+// key policy, and encodes the image and its public parameters. It owns
+// img and recycles the coefficient image it encoded: neither the
+// PublicData nor the encoded bytes alias a block slab.
 func protect(img *jpegc.Image, regions []Rect, opts ProtectOptions) (*Protected, error) {
 	params, err := core.NewParams(cmp.Or(opts.Variant, VariantZ), cmp.Or(opts.Level, LevelMedium))
 	if err != nil {
@@ -254,6 +256,7 @@ func protect(img *jpegc.Image, regions []Rect, opts ProtectOptions) (*Protected,
 	if err != nil {
 		return nil, err
 	}
+	img.Recycle()
 	return &Protected{JPEG: jpegBytes, Params: paramBytes, Keys: pairs, Regions: regions}, nil
 }
 
@@ -364,6 +367,7 @@ func UnprotectJPEG(jpegData, params []byte, pairs []*KeyPair) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer img.Recycle() // the freshly decoded copy, decrypted in place
 	return encodeBytes(img, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
 }
 
@@ -405,6 +409,9 @@ func PSPTransform(jpegData []byte, spec TransformSpec) ([]byte, error) {
 	out, err := transform.Apply(img, spec)
 	if err != nil {
 		return nil, err
+	}
+	if out != img {
+		img.Recycle() // every transform writes fresh grids
 	}
 	return encodeBytes(out, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
 }
