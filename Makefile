@@ -27,13 +27,14 @@ test:
 # facade protect entry points, the chunked scan decode and encode (restart
 # segments, speculative chunks sharing the grid and their per-chunk
 # records, bit-spliced emit, the never-synchronizing stream, and grids
-# taken uncleared from the slab pool), the scaled-decode parallel plane
+# taken uncleared from the slab pool), the sender's strip import (strip
+# workers share the output grids), the scaled-decode parallel plane
 # fills, the encoder's parallel nonzero-mask pass (reference walk and range
 # rejection), and the allocation and coefficient-byte bounds under -race.
 race:
 	$(GO) test -race -count=1 ./internal/psp/... ./internal/servecache/... ./internal/faults/... ./internal/blobstore/... ./internal/cluster/... ./internal/admission/... ./internal/spine/... ./internal/stats/... ./internal/loadgen/... ./internal/searchidx/... ./internal/dct/... ./internal/transform/... ./internal/core/... ./cmd/pspd/... ./cmd/pspgw/...
 	$(GO) test -race -count=1 -run 'TestParallelDeterminism|TestProtectRecoverAllocBudget|TestProtectMultiKeyPerRegion|TestProtectKeysPerRegionValidation' .
-	$(GO) test -race -count=1 -run 'TestRestart|TestToPlanarScaled|TestNative420CoeffBytes|TestEncodeMatchesReferenceWalk|TestEncodeRejectsOutOfRangeCoefficients|TestChunkedDecodeMatchesSerial|TestChunkedEncodeMatchesSerial|TestHostileChunkedDecodeBound|TestPoolsResetPoisonedBuffers' ./internal/jpegc
+	$(GO) test -race -count=1 -run 'TestRestart|TestToPlanarScaled|TestNative420CoeffBytes|TestEncodeMatchesReferenceWalk|TestEncodeRejectsOutOfRangeCoefficients|TestChunkedDecodeMatchesSerial|TestChunkedEncodeMatchesSerial|TestHostileChunkedDecodeBound|TestPoolsResetPoisonedBuffers|TestFromStdImageMatchesPlanar' ./internal/jpegc
 
 # cluster-e2e runs the full crash/partition e2e on its own: a real 3-shard
 # cluster behind the gateway, one shard SIGKILLed mid-traffic, an asymmetric

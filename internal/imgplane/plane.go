@@ -243,25 +243,38 @@ func FromStdImage(src image.Image) (*Image, error) {
 	pY := img.Planes[ChannelY].Pix
 	pU := img.Planes[ChannelU].Pix
 	pV := img.Planes[ChannelV].Pix
-	put := func(i int, r8, g8, b8 float32) {
-		yy, uu, vv := RGBToYUV(r8, g8, b8)
-		pY[i], pU[i], pV[i] = yy, uu, vv
-	}
-	// The common stdlib formats get direct Pix-slice readers: the generic
-	// At(x, y).RGBA() route boxes a color.Color per pixel, which turns a
-	// megapixel conversion into a million allocations. Each fast path
-	// produces the exact 8-bit channel values the interface route's
-	// 16-bit-to-8-bit shift yields (NRGBA premultiplies with the stdlib's
-	// own *0x101 * alpha / 0xff arithmetic), so results are bit-identical.
-	var rows func(lo, hi int)
+	read := RowReader(src)
+	// Rows write disjoint plane indices; src is only read.
+	parallel.For(b.Dy(), rowGrain, func(lo, hi int) {
+		for y := lo; y < hi; y++ {
+			read(y, pY[y*w:][:w], pU[y*w:][:w], pV[y*w:][:w])
+		}
+	})
+	return img, nil
+}
+
+// RowReader returns a function that converts pixel row y of src (counted
+// from src.Bounds().Min.Y) to YUV with RGBToYUV, writing one sample per
+// column into dy, du and dv, each src.Bounds().Dx() long. It only reads
+// src, so rows may be converted concurrently.
+//
+// The common stdlib formats get direct Pix-slice readers: the generic
+// At(x, y).RGBA() route boxes a color.Color per pixel, which turns a
+// megapixel conversion into a million allocations. Each typed reader
+// produces the exact 8-bit channel values the interface route's
+// 16-bit-to-8-bit shift yields (NRGBA premultiplies with the stdlib's own
+// *0x101 * alpha / 0xff arithmetic; YCbCr calls color.YCbCr.RGBA on an
+// unboxed value), so results are bit-identical.
+func RowReader(src image.Image) func(y int, dy, du, dv []float32) {
+	b := src.Bounds()
 	switch s := src.(type) {
 	case *image.RGBA:
-		rows = func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				o := s.PixOffset(b.Min.X, b.Min.Y+y)
-				for x := 0; x < w; x, o = x+1, o+4 {
-					put(y*w+x, float32(s.Pix[o]), float32(s.Pix[o+1]), float32(s.Pix[o+2]))
-				}
+		return func(y int, dy, du, dv []float32) {
+			pix := s.Pix[s.PixOffset(b.Min.X, b.Min.Y+y):][:4*len(dy)]
+			du, dv = du[:len(dy)], dv[:len(dy)]
+			for x := range dy {
+				p := pix[4*x:][:3]
+				dy[x], du[x], dv[x] = RGBToYUV(float32(p[0]), float32(p[1]), float32(p[2]))
 			}
 		}
 	case *image.NRGBA:
@@ -270,38 +283,43 @@ func FromStdImage(src image.Image) (*Image, error) {
 			r32 = r32 * uint32(a) / 0xff
 			return float32(r32 >> 8)
 		}
-		rows = func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				o := s.PixOffset(b.Min.X, b.Min.Y+y)
-				for x := 0; x < w; x, o = x+1, o+4 {
-					a := s.Pix[o+3]
-					put(y*w+x, prem(s.Pix[o], a), prem(s.Pix[o+1], a), prem(s.Pix[o+2], a))
-				}
+		return func(y int, dy, du, dv []float32) {
+			pix := s.Pix[s.PixOffset(b.Min.X, b.Min.Y+y):][:4*len(dy)]
+			du, dv = du[:len(dy)], dv[:len(dy)]
+			for x := range dy {
+				p := pix[4*x:][:4]
+				dy[x], du[x], dv[x] = RGBToYUV(prem(p[0], p[3]), prem(p[1], p[3]), prem(p[2], p[3]))
 			}
 		}
 	case *image.Gray:
-		rows = func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				o := s.PixOffset(b.Min.X, b.Min.Y+y)
-				for x := 0; x < w; x, o = x+1, o+1 {
-					g := float32(s.Pix[o])
-					put(y*w+x, g, g, g)
-				}
+		return func(y int, dy, du, dv []float32) {
+			pix := s.Pix[s.PixOffset(b.Min.X, b.Min.Y+y):][:len(dy)]
+			du, dv = du[:len(dy)], dv[:len(dy)]
+			for x, v := range pix {
+				g := float32(v)
+				dy[x], du[x], dv[x] = RGBToYUV(g, g, g)
+			}
+		}
+	case *image.YCbCr:
+		return func(y int, dy, du, dv []float32) {
+			py := b.Min.Y + y
+			luma := s.Y[s.YOffset(b.Min.X, py):][:len(dy)]
+			du, dv = du[:len(dy)], dv[:len(dy)]
+			for x, l := range luma {
+				ci := s.COffset(b.Min.X+x, py)
+				r16, g16, b16, _ := color.YCbCr{Y: l, Cb: s.Cb[ci], Cr: s.Cr[ci]}.RGBA()
+				dy[x], du[x], dv[x] = RGBToYUV(float32(r16>>8), float32(g16>>8), float32(b16>>8))
 			}
 		}
 	default:
-		rows = func(lo, hi int) {
-			for y := lo; y < hi; y++ {
-				for x := 0; x < w; x++ {
-					r16, g16, b16, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
-					put(y*w+x, float32(r16>>8), float32(g16>>8), float32(b16>>8))
-				}
+		return func(y int, dy, du, dv []float32) {
+			du, dv = du[:len(dy)], dv[:len(dy)]
+			for x := range dy {
+				r16, g16, b16, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
+				dy[x], du[x], dv[x] = RGBToYUV(float32(r16>>8), float32(g16>>8), float32(b16>>8))
 			}
 		}
 	}
-	// Rows write disjoint plane indices; src is only read.
-	parallel.For(b.Dy(), rowGrain, rows)
-	return img, nil
 }
 
 // ToStdImage converts the planar image to an 8-bit stdlib image, clamping

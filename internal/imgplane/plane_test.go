@@ -232,8 +232,8 @@ type opaqueImage struct{ image.Image }
 
 // TestFromStdImageFastPathsMatchGeneric pins that the typed Pix-slice
 // readers in FromStdImage produce bit-identical planes to the generic
-// color.Color route they replace, including non-opaque NRGBA pixels and
-// a non-zero bounds origin.
+// color.Color route they replace, including non-opaque NRGBA pixels,
+// every YCbCr subsample ratio and a non-zero bounds origin.
 func TestFromStdImageFastPathsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	bounds := image.Rect(3, 5, 3+37, 5+23)
@@ -260,14 +260,33 @@ func TestFromStdImageFastPathsMatchGeneric(t *testing.T) {
 		gray.Pix[i] = uint8(rng.Intn(256))
 	}
 
-	for _, tc := range []struct {
+	type testCase struct {
 		name string
 		src  image.Image
-	}{
+	}
+	cases := []testCase{
 		{"rgba", rgba},
 		{"nrgba", nrgba},
 		{"gray", gray},
-	} {
+	}
+	// YCbCr at every subsample ratio, both allocated at the odd bounds and
+	// cut from a larger image at a negative odd origin (chroma offsets
+	// truncate toward zero there).
+	for r := image.YCbCrSubsampleRatio444; r <= image.YCbCrSubsampleRatio410; r++ {
+		own := image.NewYCbCr(bounds, r)
+		sub := image.NewYCbCr(image.Rect(-4, -3, 41, 30), r)
+		for _, m := range []*image.YCbCr{own, sub} {
+			for _, p := range [][]uint8{m.Y, m.Cb, m.Cr} {
+				for i := range p {
+					p[i] = uint8(rng.Intn(256))
+				}
+			}
+		}
+		cases = append(cases,
+			testCase{"ycbcr " + r.String(), own},
+			testCase{"ycbcr sub " + r.String(), sub.SubImage(image.Rect(-3, -1, 34, 22))})
+	}
+	for _, tc := range cases {
 		fast, err := FromStdImage(tc.src)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

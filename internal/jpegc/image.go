@@ -26,6 +26,7 @@ package jpegc
 
 import (
 	"fmt"
+	"image"
 
 	"puppies/internal/dct"
 	"puppies/internal/imgplane"
@@ -212,18 +213,24 @@ func (o Options) quality() int {
 	return o.Quality
 }
 
+// tables returns the luminance and chrominance quantization tables of the
+// options' quality.
+func (o Options) tables() (lum, chrom dct.QuantTable, err error) {
+	q := o.quality()
+	if lum, err = dct.StdLuminanceQuant.ScaleQuality(q); err != nil {
+		return lum, chrom, err
+	}
+	chrom, err = dct.StdChrominanceQuant.ScaleQuality(q)
+	return lum, chrom, err
+}
+
 // FromPlanar converts a planar YUV image into a quantized coefficient image.
 // Edge blocks are padded by edge replication, as conventional encoders do.
 func FromPlanar(src *imgplane.Image, opts Options) (*Image, error) {
 	if err := src.Validate(); err != nil {
 		return nil, err
 	}
-	q := opts.quality()
-	lum, err := dct.StdLuminanceQuant.ScaleQuality(q)
-	if err != nil {
-		return nil, err
-	}
-	chrom, err := dct.StdChrominanceQuant.ScaleQuality(q)
+	lum, chrom, err := opts.tables()
 	if err != nil {
 		return nil, err
 	}
@@ -249,13 +256,98 @@ func FromPlanarWithQuant(src *imgplane.Image, lum, chrom *dct.QuantTable) (*Imag
 		if ci > 0 {
 			qt = chrom
 		}
-		comp, err := componentFromPlane(src.Planes[ci], qt)
-		if err != nil {
-			return nil, fmt.Errorf("jpegc: component %d: %w", ci, err)
-		}
-		out.Comps[ci] = comp
+		out.Comps[ci] = componentFromPlane(src.Planes[ci], qt)
 	}
 	return out, nil
+}
+
+// FromStdImage converts a stdlib image into a 3-component 4:4:4 quantized
+// coefficient image. The result is bit-identical to
+// FromPlanar(imgplane.FromStdImage(src), opts), without the full-frame
+// planes: each worker converts one block row's pixel rows at a time into a
+// pooled strip (imgplane.RowReader) and quantizes the strip with the block
+// loop FromPlanar runs.
+func FromStdImage(src image.Image, opts Options) (*Image, error) {
+	if src == nil {
+		return nil, fmt.Errorf("jpegc: nil image")
+	}
+	b := src.Bounds()
+	w, h := b.Dx(), b.Dy()
+	if w <= 0 || h <= 0 {
+		return nil, fmt.Errorf("jpegc: invalid image size %dx%d", w, h)
+	}
+	lum, chrom, err := opts.tables()
+	if err != nil {
+		return nil, err
+	}
+	out := &Image{W: w, H: h, Comps: make([]Component, 3)}
+	var fqs [3]dct.ForwardQuantizer
+	for ci := range out.Comps {
+		q := &lum
+		if ci > 0 {
+			q = &chrom
+		}
+		out.Comps[ci] = newComponent(w, h, q)
+		fqs[ci] = dct.NewForwardQuantizer(q)
+	}
+	read := imgplane.RowReader(src)
+	stripLen := dct.BlockSize * w
+	// Each chunk of block rows converts into its own strip and writes a
+	// disjoint slice of every component's blocks; src is only read. A
+	// chunk is one block row: that already quantizes three components'
+	// blocks, and one-row chunks leave less work unbalanced at the end.
+	parallel.For(blocksFor(h), 1, func(lo, hi int) {
+		// Every strip sample a block row reads is written by read first.
+		buf := stripPool.GetEmpty(3 * stripLen)[:3*stripLen]
+		var spatial dct.FloatBlock
+		for by := lo; by < hi; by++ {
+			rows := min(dct.BlockSize, h-by*dct.BlockSize)
+			var strips [3]imgplane.Plane
+			for ci := range strips {
+				strips[ci] = imgplane.Plane{W: w, H: rows, Pix: buf[ci*stripLen:][:rows*w]}
+			}
+			for y := 0; y < rows; y++ {
+				read(by*dct.BlockSize+y, strips[0].Pix[y*w:][:w], strips[1].Pix[y*w:][:w], strips[2].Pix[y*w:][:w])
+			}
+			for ci := range strips {
+				quantizeBlockRow(out.Comps[ci].blockRow(by), &strips[ci], &fqs[ci], &spatial)
+			}
+		}
+		stripPool.Put(buf)
+	})
+	return out, nil
+}
+
+// newComponent returns the component grid of a w x h plane quantized with
+// q. The grid may hold a recycled image's blocks: only for a caller that
+// quantizes into every block (Quantize writes all 64 coefficients).
+func newComponent(w, h int, q *dct.QuantTable) Component {
+	bw, bh := blocksFor(w), blocksFor(h)
+	blocks, _ := getGrid(bw * bh)
+	return Component{BlocksW: bw, BlocksH: bh, Blocks: blocks, Quant: *q}
+}
+
+// componentFromPlane quantizes plane p into a component with table q.
+func componentFromPlane(p *imgplane.Plane, q *dct.QuantTable) Component {
+	comp := newComponent(p.W, p.H, q)
+	fq := dct.NewForwardQuantizer(q)
+	// Block rows are independent: each worker owns its own scratch block
+	// and writes a disjoint slice of comp.Blocks, so output is identical
+	// at any worker count.
+	parallel.For(comp.BlocksH, blockRowGrain, func(lo, hi int) {
+		var spatial dct.FloatBlock
+		for by := lo; by < hi; by++ {
+			rows := min(dct.BlockSize, p.H-by*dct.BlockSize)
+			strip := imgplane.Plane{W: p.W, H: rows, Pix: p.Pix[by*dct.BlockSize*p.W:][:rows*p.W]}
+			quantizeBlockRow(comp.blockRow(by), &strip, &fq, &spatial)
+		}
+	})
+	return comp
+}
+
+// blockRow returns block row by of the component's grid.
+func (c *Component) blockRow(by int) []dct.Block {
+	return c.Blocks[by*c.BlocksW:][:c.BlocksW]
 }
 
 // blockRowGrain is the parallel chunk size for block-grid loops: a few
@@ -263,50 +355,35 @@ func FromPlanarWithQuant(src *imgplane.Image, lum, chrom *dct.QuantTable) (*Imag
 // small images.
 const blockRowGrain = 4
 
-func componentFromPlane(p *imgplane.Plane, q *dct.QuantTable) (Component, error) {
-	bw, bh := blocksFor(p.W), blocksFor(p.H)
-	// The grid may hold a recycled image's blocks: the loop below
-	// quantizes into every block, and Quantize writes all 64 coefficients.
-	blocks, _ := getGrid(bw * bh)
-	comp := Component{
-		BlocksW: bw,
-		BlocksH: bh,
-		Blocks:  blocks,
-		Quant:   *q,
+// quantizeBlockRow forward-transforms and quantizes one block row. strip
+// holds the row's pixel rows: 8 of them, or fewer in the image's last block
+// row. Samples right of strip.W and below strip.H are padded by edge
+// replication (Plane.At), as conventional encoders do.
+func quantizeBlockRow(dst []dct.Block, strip *imgplane.Plane, fq *dct.ForwardQuantizer, spatial *dct.FloatBlock) {
+	// Blocks left of innerW lie wholly inside a full strip.
+	innerW := strip.W / dct.BlockSize
+	if strip.H < dct.BlockSize {
+		innerW = 0
 	}
-	fq := dct.NewForwardQuantizer(q)
-	// Blocks left of innerW and above innerH lie wholly inside the plane.
-	innerW, innerH := p.W/dct.BlockSize, p.H/dct.BlockSize
-	// Block rows are independent: each worker owns its own scratch block
-	// and writes a disjoint slice of comp.Blocks, so output is identical
-	// at any worker count.
-	parallel.For(bh, blockRowGrain, func(lo, hi int) {
-		var spatial dct.FloatBlock
-		for by := lo; by < hi; by++ {
-			for bx := 0; bx < bw; bx++ {
-				if bx < innerW && by < innerH {
-					for y := 0; y < dct.BlockSize; y++ {
-						row := p.Pix[(by*dct.BlockSize+y)*p.W+bx*dct.BlockSize:][:dct.BlockSize]
-						dst := spatial[y*dct.BlockSize:][:dct.BlockSize]
-						for x, v := range row {
-							dst[x] = float64(v) - 128
-						}
-					}
-				} else {
-					for y := 0; y < dct.BlockSize; y++ {
-						for x := 0; x < dct.BlockSize; x++ {
-							// Plane.At replicates edges, which pads partial blocks.
-							spatial[y*dct.BlockSize+x] = float64(p.At(bx*dct.BlockSize+x, by*dct.BlockSize+y)) - 128
-						}
-					}
+	for bx := range dst {
+		if bx < innerW {
+			for y := 0; y < dct.BlockSize; y++ {
+				row := strip.Pix[y*strip.W+bx*dct.BlockSize:][:dct.BlockSize]
+				out := spatial[y*dct.BlockSize:][:dct.BlockSize]
+				for x, v := range row {
+					out[x] = float64(v) - 128
 				}
-				b := &comp.Blocks[by*bw+bx]
-				fq.Quantize(b, &spatial)
-				clampBaselineAC(b)
+			}
+		} else {
+			for y := 0; y < dct.BlockSize; y++ {
+				for x := 0; x < dct.BlockSize; x++ {
+					spatial[y*dct.BlockSize+x] = float64(strip.At(bx*dct.BlockSize+x, y)) - 128
+				}
 			}
 		}
-	})
-	return comp, nil
+		fq.Quantize(&dst[bx], spatial)
+		clampBaselineAC(&dst[bx])
+	}
 }
 
 // clampBaselineAC forces AC coefficients into the baseline-representable

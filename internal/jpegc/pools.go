@@ -26,6 +26,10 @@ var (
 	// maskSlabPool recycles the encoder's per-block nonzero-AC masks (one
 	// uint64 per stored block).
 	maskSlabPool parallel.SlicePool[uint64]
+	// stripPool recycles FromStdImage's pixel strips (three 8-row float32
+	// planes, one strip per block row in flight), taken uncleared: each
+	// block row converts every sample it reads before reading it.
+	stripPool parallel.SlicePool[float32]
 )
 
 // getGrid returns a coefficient grid of n blocks and whether it is zeroed.

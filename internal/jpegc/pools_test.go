@@ -101,22 +101,8 @@ func TestPoolsResetPoisonedBuffers(t *testing.T) {
 	if err := ref.Encode(&stream, EncodeOptions{Tables: TablesOptimized}); err != nil {
 		t.Fatal(err)
 	}
-	poison := func() map[*dct.Block]bool {
-		slabs := make(map[*dct.Block]bool)
-		for i := 0; i < 4; i++ {
-			s := make([]dct.Block, 2*ref.blockCount())
-			for j := range s {
-				for k := range s[j] {
-					s[j][k] = -1
-				}
-			}
-			slabs[&s[0]] = true
-			blockSlabPool.Put(s)
-		}
-		return slabs
-	}
 	for _, chunks := range []int{1, 3} {
-		slabs := poison()
+		slabs, _ := poisonPools(ref.blockCount(), 3*dct.BlockSize*ref.W)
 		got, err := decode(bytes.NewReader(stream.Bytes()), chunks)
 		if err != nil {
 			t.Fatalf("%d chunks: decode on poisoned grids: %v", chunks, err)
@@ -126,7 +112,7 @@ func TestPoolsResetPoisonedBuffers(t *testing.T) {
 		}
 		assertCoeffEqual(t, ref, got)
 
-		slabs = poison()
+		slabs, _ = poisonPools(ref.blockCount(), 3*dct.BlockSize*ref.W)
 		fp, err := FromPlanar(planar, Options{Quality: 85})
 		if err != nil {
 			t.Fatal(err)
@@ -136,6 +122,38 @@ func TestPoolsResetPoisonedBuffers(t *testing.T) {
 		}
 		assertCoeffEqual(t, ref, fp)
 	}
+}
+
+// stripPoison fills poisoned strips: no 8-bit pixel converts to it.
+const stripPoison = -1e6
+
+// poisonPools empties the block-slab and strip pools, fills them with
+// poisoned buffers big enough for an image of the given block count and
+// strip length, and returns their first elements' addresses.
+func poisonPools(blocks, strip int) (map[*dct.Block]bool, map[*float32]bool) {
+	for cap(blockSlabPool.GetEmpty(0)) > 0 {
+	}
+	for cap(stripPool.GetEmpty(0)) > 0 {
+	}
+	slabs, strips := make(map[*dct.Block]bool), make(map[*float32]bool)
+	for i := 0; i < 4; i++ {
+		s := make([]dct.Block, 2*blocks)
+		for j := range s {
+			for k := range s[j] {
+				s[j][k] = -1
+			}
+		}
+		slabs[&s[0]] = true
+		blockSlabPool.Put(s)
+
+		f := make([]float32, 2*strip)
+		for j := range f {
+			f[j] = stripPoison
+		}
+		strips[&f[0]] = true
+		stripPool.Put(f)
+	}
+	return slabs, strips
 }
 
 // TestPoolsConcurrentReuse hammers the byte-buffer pool from several

@@ -2,6 +2,7 @@ package jpegc
 
 import (
 	"bytes"
+	"image"
 	"testing"
 
 	"puppies/internal/dataset"
@@ -16,8 +17,9 @@ import (
 // trace, unlike the random-coefficient benchmarks, whose dense blocks hide
 // the cost of the sparse ones natural images produce.
 
-// shareRender returns the share workload's first render as planar YUV.
-func shareRender(tb testing.TB) *imgplane.Image {
+// shareStd returns the share workload's first render as the stdlib image
+// perfbench hands to puppies.Protect (an *image.RGBA).
+func shareStd(tb testing.TB) image.Image {
 	tb.Helper()
 	g, err := dataset.NewGenerator(dataset.Caltech, 1)
 	if err != nil {
@@ -26,18 +28,23 @@ func shareRender(tb testing.TB) *imgplane.Image {
 	for idx := 0; idx < 100; idx++ {
 		item := g.Item(idx)
 		for _, a := range item.Annotations {
-			if a.Class != dataset.ClassFace {
-				continue
+			if a.Class == dataset.ClassFace {
+				return item.Image.Quantize8().ToStdImage()
 			}
-			planar, err := imgplane.FromStdImage(item.Image.Quantize8().ToStdImage())
-			if err != nil {
-				tb.Fatal(err)
-			}
-			return planar
 		}
 	}
 	tb.Fatal("no Caltech render with a face")
 	return nil
+}
+
+// shareRender returns the share workload's first render as planar YUV.
+func shareRender(tb testing.TB) *imgplane.Image {
+	tb.Helper()
+	planar, err := imgplane.FromStdImage(shareStd(tb))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return planar
 }
 
 // shareImage returns the share render's coefficient image and logs its
@@ -71,6 +78,42 @@ func BenchmarkFromPlanarShare(b *testing.B) {
 		if _, err := FromPlanar(planar, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFromStdImageShare is the sender's import: the share render,
+// an *image.RGBA, straight to coefficients through the strip path. Each
+// image is recycled, as puppies.Protect and EncodeJPEG recycle theirs.
+func BenchmarkFromStdImageShare(b *testing.B) {
+	src := shareStd(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		img, err := FromStdImage(src, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		img.Recycle()
+	}
+}
+
+// BenchmarkImportFromPlanarShare is BenchmarkFromStdImageShare's two-step
+// comparand: full-frame planes (imgplane.FromStdImage), then FromPlanar,
+// recycling the coefficient image the same way.
+func BenchmarkImportFromPlanarShare(b *testing.B) {
+	src := shareStd(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		planar, err := imgplane.FromStdImage(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		img, err := FromPlanar(planar, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		img.Recycle()
 	}
 }
 

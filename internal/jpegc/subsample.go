@@ -1,10 +1,6 @@
 package jpegc
 
-import (
-	"fmt"
-
-	"puppies/internal/imgplane"
-)
+import "puppies/internal/imgplane"
 
 // finishSampling converts the freshly decoded, MCU-padded component grids
 // into the image's native per-component layout: each component is trimmed
@@ -70,11 +66,7 @@ func (m *Image) Normalize444() (*Image, error) {
 		fillPlaneFromComponent(comp, native)
 		imgplane.ResizeBilinearInto(native, full)
 		imgplane.PutPlane(native)
-		up, err := componentFromPlane(full, &comp.Quant)
-		if err != nil {
-			return nil, fmt.Errorf("jpegc: upsample component %d: %w", ci, err)
-		}
-		out.Comps[ci] = up
+		out.Comps[ci] = componentFromPlane(full, &comp.Quant)
 	}
 	return out, nil
 }

@@ -156,14 +156,14 @@ type Protected struct {
 // Protect perturbs the sensitive regions of an image and returns the
 // shareable artifacts.
 func Protect(src image.Image, opts ProtectOptions) (*Protected, error) {
-	planar, img, err := fromStdImage(src, opts.Quality)
+	img, err := jpegc.FromStdImage(src, jpegc.Options{Quality: opts.Quality})
 	if err != nil {
 		return nil, err
 	}
 	regions := opts.Regions
 	if regions == nil {
-		regions = roi.NewDetector().Recommend(planar)
-		if len(regions) == 0 {
+		if regions = DetectRegions(src); len(regions) == 0 {
+			img.Recycle()
 			return nil, fmt.Errorf("puppies: no sensitive regions detected; pass Regions explicitly")
 		}
 	}
@@ -258,20 +258,6 @@ func protect(img *jpegc.Image, regions []Rect, opts ProtectOptions) (*Protected,
 	}
 	img.Recycle()
 	return &Protected{JPEG: jpegBytes, Params: paramBytes, Keys: pairs, Regions: regions}, nil
-}
-
-// fromStdImage imports a stdlib image and forward-transforms it to a 4:4:4
-// coefficient image at the given JPEG quality.
-func fromStdImage(src image.Image, quality int) (*imgplane.Image, *jpegc.Image, error) {
-	if src == nil {
-		return nil, nil, fmt.Errorf("puppies: nil image")
-	}
-	planar, err := imgplane.FromStdImage(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	img, err := jpegc.FromPlanar(planar, jpegc.Options{Quality: quality})
-	return planar, img, err
 }
 
 // encodeBytes entropy-codes a coefficient image to a JPEG stream.
@@ -391,10 +377,11 @@ func UnprotectTransformed(jpegData, params []byte, spec TransformSpec, pairs []*
 // EncodeJPEG encodes any stdlib image as a baseline 4:4:4 JPEG using this
 // library's codec (quality 0 selects 75).
 func EncodeJPEG(src image.Image, quality int) ([]byte, error) {
-	_, img, err := fromStdImage(src, quality)
+	img, err := jpegc.FromStdImage(src, jpegc.Options{Quality: quality})
 	if err != nil {
 		return nil, err
 	}
+	defer img.Recycle() // the bytes do not alias a block slab
 	return encodeBytes(img, jpegc.EncodeOptions{})
 }
 
