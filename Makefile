@@ -62,6 +62,7 @@ cluster-demo: build
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/jpegc
+	$(GO) test -run '^$$' -fuzz '^FuzzMaskBlocks$$' -fuzztime $(FUZZTIME) ./internal/jpegc
 	$(GO) test -run '^$$' -fuzz '^FuzzForwardQuantized$$' -fuzztime $(FUZZTIME) ./internal/dct
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePublicData$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime $(FUZZTIME) ./internal/blobstore

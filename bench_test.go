@@ -368,11 +368,11 @@ func BenchmarkShareOp(b *testing.B) {
 }
 
 // maxProtectRecoverAllocs is the allocation budget for one megapixel
-// protect + recover. The pipeline measures 929-962 allocs/op on a 2-vCPU
-// x86-64 host once image conversion stays on the typed Pix-slice paths;
-// the headroom is for worker-count and Go-version variance, while the
-// per-pixel color.Color regression this guards against is a
-// six-order-of-magnitude jump.
+// protect + recover. The pipeline measures 878-881 allocs/op on a 2-vCPU
+// x86-64 host (go1.24.0) once image conversion stays on the typed
+// Pix-slice paths; the headroom is for worker-count and Go-version
+// variance, while the per-pixel color.Color regression this guards
+// against is a six-order-of-magnitude jump.
 const maxProtectRecoverAllocs = 2500
 
 // TestProtectRecoverAllocBudget runs BenchmarkProtectRecoverPerMP and holds

@@ -39,6 +39,10 @@ const (
 // an orthonormal coefficient to the inverse butterfly's expected input.
 var forwardScale, inverseScale [BlockLen]float64
 
+// quantFloor is the smallest value ForwardQuantizer.Quantize writes at each
+// index: CoeffMin for the DC, the baseline floor ACMin for the ACs.
+var quantFloor [BlockLen]int32
+
 func init() {
 	var aan [BlockSize]float64
 	aan[0] = 1
@@ -51,21 +55,25 @@ func init() {
 			inverseScale[r*BlockSize+c] = aan[r] * aan[c] / 8
 		}
 	}
+	for i := range quantFloor {
+		quantFloor[i] = ACMin
+	}
+	quantFloor[0] = CoeffMin
 }
 
-// fdctAAN runs the 2-D AAN forward butterfly in place: rows, then columns.
-// Output is the scaled coefficient block (orthonormal * 8*aan[r]*aan[c]).
-func fdctAAN(d *FloatBlock) {
-	// Row pass.
+// fdctRows runs the row pass of the AAN forward butterfly from src into
+// dst, which may be src itself: each row is read whole before it is
+// written.
+func fdctRows(dst, src *FloatBlock) {
 	for i := 0; i < BlockLen; i += BlockSize {
-		tmp0 := d[i+0] + d[i+7]
-		tmp7 := d[i+0] - d[i+7]
-		tmp1 := d[i+1] + d[i+6]
-		tmp6 := d[i+1] - d[i+6]
-		tmp2 := d[i+2] + d[i+5]
-		tmp5 := d[i+2] - d[i+5]
-		tmp3 := d[i+3] + d[i+4]
-		tmp4 := d[i+3] - d[i+4]
+		tmp0 := src[i+0] + src[i+7]
+		tmp7 := src[i+0] - src[i+7]
+		tmp1 := src[i+1] + src[i+6]
+		tmp6 := src[i+1] - src[i+6]
+		tmp2 := src[i+2] + src[i+5]
+		tmp5 := src[i+2] - src[i+5]
+		tmp3 := src[i+3] + src[i+4]
+		tmp4 := src[i+3] - src[i+4]
 
 		// Even part.
 		tmp10 := tmp0 + tmp3
@@ -73,12 +81,12 @@ func fdctAAN(d *FloatBlock) {
 		tmp11 := tmp1 + tmp2
 		tmp12 := tmp1 - tmp2
 
-		d[i+0] = tmp10 + tmp11
-		d[i+4] = tmp10 - tmp11
+		dst[i+0] = tmp10 + tmp11
+		dst[i+4] = tmp10 - tmp11
 
 		z1 := (tmp12 + tmp13) * aanC4
-		d[i+2] = tmp13 + z1
-		d[i+6] = tmp13 - z1
+		dst[i+2] = tmp13 + z1
+		dst[i+6] = tmp13 - z1
 
 		// Odd part.
 		tmp10 = tmp4 + tmp5
@@ -93,11 +101,17 @@ func fdctAAN(d *FloatBlock) {
 		z11 := tmp7 + z3
 		z13 := tmp7 - z3
 
-		d[i+5] = z13 + z2
-		d[i+3] = z13 - z2
-		d[i+1] = z11 + z4
-		d[i+7] = z11 - z4
+		dst[i+5] = z13 + z2
+		dst[i+3] = z13 - z2
+		dst[i+1] = z11 + z4
+		dst[i+7] = z11 - z4
 	}
+}
+
+// fdctAAN runs the 2-D AAN forward butterfly in place: rows, then columns.
+// Output is the scaled coefficient block (orthonormal * 8*aan[r]*aan[c]).
+func fdctAAN(d *FloatBlock) {
+	fdctRows(d, d)
 
 	// Column pass.
 	for i := 0; i < BlockSize; i++ {
@@ -269,28 +283,112 @@ func NewForwardQuantizer(q *QuantTable) ForwardQuantizer {
 
 // Quantize runs the AAN butterfly on spatial and writes to dst each scaled
 // output rounded to the nearest integer, half away from zero, and clamped
-// to the JPEG coefficient range. dst is bit-identical to
-// Quantize(ForwardReference(spatial), q).
+// to [quantFloor[i], CoeffMax]: the DC to the JPEG coefficient range, the
+// ACs to the baseline range. dst is bit-identical to
+// Quantize(ForwardReference(spatial), q) with the ACs floored at ACMin.
 //
-// Natural blocks are sparse (most quantized ACs are zero, with float noise
-// of either sign), so the rounding has no data-dependent branch: it
-// truncates |p|+0.5 and puts the sign of p back with an xor/add. The one
-// branch left, the boundary test on the fraction of |p|+0.5, is almost
-// never taken; when it is, the coefficient is recomputed with the
+// The row pass runs out of place into a local block, and the column pass
+// quantizes each output as it computes it, so the scaled block never goes
+// back to memory. Natural blocks are sparse (most quantized ACs are zero,
+// with float noise of either sign), so nothing branches per coefficient:
+// quantRound rounds p to r, and the boundary test only ORs together the
+// sign bits of quantBoundarySq - (p-r)^2, which go negative when p lies
+// within quantBoundaryEps of a round-half boundary. When one does, once per
+// block, quantizeNearBoundary recomputes those coefficients with the
 // reference operation order.
 func (fq *ForwardQuantizer) Quantize(dst *Block, spatial *FloatBlock) {
+	var rows FloatBlock
+	fdctRows(&rows, spatial)
+	var near uint64
+	for i := 0; i < BlockSize; i++ {
+		tmp0 := rows[i+0*8] + rows[i+7*8]
+		tmp7 := rows[i+0*8] - rows[i+7*8]
+		tmp1 := rows[i+1*8] + rows[i+6*8]
+		tmp6 := rows[i+1*8] - rows[i+6*8]
+		tmp2 := rows[i+2*8] + rows[i+5*8]
+		tmp5 := rows[i+2*8] - rows[i+5*8]
+		tmp3 := rows[i+3*8] + rows[i+4*8]
+		tmp4 := rows[i+3*8] - rows[i+4*8]
+
+		tmp10 := tmp0 + tmp3
+		tmp13 := tmp0 - tmp3
+		tmp11 := tmp1 + tmp2
+		tmp12 := tmp1 - tmp2
+
+		near |= fq.put(dst, i+0*8, tmp10+tmp11)
+		near |= fq.put(dst, i+4*8, tmp10-tmp11)
+
+		z1 := (tmp12 + tmp13) * aanC4
+		near |= fq.put(dst, i+2*8, tmp13+z1)
+		near |= fq.put(dst, i+6*8, tmp13-z1)
+
+		tmp10 = tmp4 + tmp5
+		tmp11 = tmp5 + tmp6
+		tmp12 = tmp6 + tmp7
+
+		z5 := (tmp10 - tmp12) * aanC6
+		z2 := aanC2mC6*tmp10 + z5
+		z4 := aanC2pC6*tmp12 + z5
+		z3 := tmp11 * aanC4
+
+		z11 := tmp7 + z3
+		z13 := tmp7 - z3
+
+		near |= fq.put(dst, i+5*8, z13+z2)
+		near |= fq.put(dst, i+3*8, z13-z2)
+		near |= fq.put(dst, i+1*8, z11+z4)
+		near |= fq.put(dst, i+7*8, z11-z4)
+	}
+	if near>>63 != 0 {
+		fq.quantizeNearBoundary(dst, spatial)
+	}
+}
+
+// quantRound is 1.5*2^52. For |x| < 2^51, x+quantRound lies in
+// [2^52, 2^53), where consecutive float64 values are exactly 1 apart, so
+// the sum is x rounded to the nearest integer (ties to even) and
+// subtracting quantRound again is exact. Scaled coefficients of the JPEG
+// input domain stay within about +-1024.
+const quantRound = 0x1.8p52
+
+// quantBoundarySq is (0.5-quantBoundaryEps)^2: |p-r| exceeds
+// 0.5-quantBoundaryEps exactly when (p-r)^2 exceeds it, and squaring keeps
+// the test in float registers, where math.Abs would not.
+const quantBoundarySq = (0.5 - quantBoundaryEps) * (0.5 - quantBoundaryEps)
+
+// put quantizes butterfly output s at index i into dst and returns a
+// word whose sign bit is set when s*mult[i] lies within quantBoundaryEps
+// of a round-half boundary.
+//
+// The compiler may fuse s*mult[i]+quantRound, s*mult[i]-r or
+// quantBoundarySq-d*d into one FMA (arm64 does), skipping a product's own
+// rounding. Either way r is an integer
+// nearest to a value within a few ulps of the exact product, and the test
+// reads |p-r| to within a few ulps, far inside quantBoundaryEps: a
+// coefficient whose test does not fire is more than quantBoundaryEps from
+// a half boundary, so r is also math.Round of the reference value, which
+// differs from the product by ~1e-11.
+func (fq *ForwardQuantizer) put(dst *Block, i int, s float64) uint64 {
+	p := s * fq.mult[i]
+	r := (p + quantRound) - quantRound
+	dst[i] = min(max(int32(r), quantFloor[i]), CoeffMax)
+	d := p - r
+	return math.Float64bits(quantBoundarySq - d*d)
+}
+
+// quantizeNearBoundary recomputes, with the reference operation order and
+// math.Round, each coefficient of dst whose scaled value lies within
+// quantBoundaryEps of a round-half boundary. Quantize calls it for the rare
+// block that has one (flat odd-valued blocks under an even step, say).
+func (fq *ForwardQuantizer) quantizeNearBoundary(dst *Block, spatial *FloatBlock) {
 	scaled := *spatial
 	fdctAAN(&scaled)
-	for i := 0; i < BlockLen; i++ {
-		p := scaled[i] * fq.mult[i]
-		a := math.Abs(p) + 0.5
-		m := int32(a)
-		if d := a - float64(m); d < quantBoundaryEps || d > 1-quantBoundaryEps {
-			m = int32(math.Round(refCoefficient(spatial, i/BlockSize, i%BlockSize) / float64(fq.q[i])))
-		} else {
-			s := int32(math.Float64bits(p) >> 63)
-			m = (m ^ -s) + s
+	for i, s := range scaled {
+		p := s * fq.mult[i]
+		r := (p + quantRound) - quantRound
+		if d := p - r; d*d > quantBoundarySq {
+			m := int32(math.Round(refCoefficient(spatial, i/BlockSize, i%BlockSize) / float64(fq.q[i])))
+			dst[i] = min(max(m, quantFloor[i]), CoeffMax)
 		}
-		dst[i] = min(max(m, CoeffMin), CoeffMax)
 	}
 }

@@ -167,6 +167,109 @@ func FuzzForwardQuantized(f *testing.F) {
 	})
 }
 
+// TestForwardQuantizedACFloor pins the baseline AC floor. 8-bit input
+// never drives an AC to -1024, but the unclamped planes pixel-domain edits
+// quantize can: there every AC that rounds to -1024 or below comes out as
+// ACMin, while the DC still reaches CoeffMin. The block is
+// v(x) = base - x0 for columns 0-3 and base + x0 for columns 4-7 at step 1,
+// which puts the (0,1) AC near -7.25*x0 and the DC at 8*base.
+func TestForwardQuantizedACFloor(t *testing.T) {
+	var q QuantTable
+	for i := range q {
+		q[i] = 1
+	}
+	floored := 0
+	for _, base := range []float64{-128, -200} {
+		for x0 := 100.0; x0 <= 300; x0 += 0.25 {
+			var in FloatBlock
+			for i := range in {
+				in[i] = base - x0
+				if i%BlockSize >= BlockSize/2 {
+					in[i] = base + x0
+				}
+			}
+			fast := ForwardQuantized(&in, &q)
+			if ref := ForwardQuantizedReference(&in, &q); fast != ref {
+				t.Fatalf("base %v, step %v: fast\n%sreference\n%s", base, x0, fast.String(), ref.String())
+			}
+			if fast[0] != CoeffMin {
+				t.Fatalf("base %v, step %v: DC %d, want %d", base, x0, fast[0], CoeffMin)
+			}
+			for i, v := range fast[1:] {
+				if v < ACMin {
+					t.Fatalf("base %v, step %v: AC[%d] = %d below %d", base, x0, i+1, v, ACMin)
+				}
+			}
+			raw := ForwardReference(&in)
+			if math.Round(raw[1]) <= CoeffMin {
+				if fast[1] != ACMin {
+					t.Fatalf("base %v, step %v: AC[1] %d, want %d", base, x0, fast[1], ACMin)
+				}
+				floored++
+			}
+		}
+	}
+	if floored == 0 {
+		t.Fatal("no block rounded an AC to -1024 or below")
+	}
+}
+
+// TestFastForwardQuantizedMultiBoundary holds the boundary fallback to the
+// reference on blocks where it fires for several coefficients at once.
+// With s(x) = +1 on columns {0,3,4,7} and -1 elsewhere, the block
+// a + d*s(x) + e*s(y) + f*s(x)*s(y) has the rational coefficients 8a (DC),
+// 8d at (0,4), 8e at (4,0) and 8f at (4,4), so a step of 16 puts each odd
+// one exactly on a round-half boundary. d alone is a two-level stripe;
+// d = e = f = 0 is a flat block.
+func TestFastForwardQuantizedMultiBoundary(t *testing.T) {
+	s := [BlockSize]float64{1, -1, -1, 1, 1, -1, -1, 1}
+	tables := []QuantTable{}
+	for _, step := range []uint16{16, 48} {
+		var q QuantTable
+		for i := range q {
+			q[i] = step
+		}
+		tables = append(tables, q)
+	}
+	q50, err := StdLuminanceQuant.ScaleQuality(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables = append(tables, q50)
+	maxNear := 0
+	for ti := range tables {
+		q := &tables[ti]
+		fq := NewForwardQuantizer(q)
+		for a := -61.0; a <= 61; a += 2 {
+			for _, def := range [][3]float64{{0, 0, 0}, {21, 0, 0}, {0, 21, 0}, {3, 0, 0}, {3, 5, 0}, {3, 5, 7}, {-9, 15, -21}, {33, -3, 1}} {
+				var in FloatBlock
+				for y := 0; y < BlockSize; y++ {
+					for x := 0; x < BlockSize; x++ {
+						in[y*BlockSize+x] = a + def[0]*s[x] + def[1]*s[y] + def[2]*s[x]*s[y]
+					}
+				}
+				fast := ForwardQuantized(&in, q)
+				if ref := ForwardQuantizedReference(&in, q); fast != ref {
+					t.Fatalf("table %d, a %v, d/e/f %v: fast\n%sreference\n%s", ti, a, def, fast.String(), ref.String())
+				}
+				scaled := in
+				fdctAAN(&scaled)
+				near := 0
+				for i, v := range scaled {
+					p := v * fq.mult[i]
+					if math.Abs(p-math.Round(p)) > 0.5-quantBoundaryEps {
+						near++
+					}
+				}
+				maxNear = max(maxNear, near)
+			}
+		}
+	}
+	if maxNear < 4 {
+		t.Fatalf("at most %d coefficients of a block sat on a boundary, want blocks with 4", maxNear)
+	}
+}
+
 func TestFastInverseQuantizedMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

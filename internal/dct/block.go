@@ -22,6 +22,9 @@ const BlockLen = BlockSize * BlockSize
 const (
 	CoeffMin = -1024
 	CoeffMax = 1023
+	// ACMin is the smallest AC coefficient baseline Huffman coding can
+	// represent: AC magnitude categories stop at 10 bits.
+	ACMin = -1023
 	// CoeffRange is the size of the coefficient value range (2048). PuPPIeS
 	// perturbation arithmetic is carried out modulo this value.
 	CoeffRange = CoeffMax - CoeffMin + 1

@@ -98,9 +98,12 @@ func InverseReference(coeff *FloatBlock) FloatBlock {
 }
 
 // ForwardQuantized performs forward DCT followed by quantization with the
-// given table, producing a JPEG-range coefficient block bit-identical to
-// Quantize(ForwardReference(spatial), q). It prepares the table on every
-// call; a caller quantizing many blocks with one table holds a
+// given table, producing a block bit-identical to
+// ForwardQuantizedReference(spatial, q): the DC in the JPEG coefficient
+// range [CoeffMin, CoeffMax], every AC in the baseline range
+// [ACMin, CoeffMax]. The AC floor matters only outside the 8-bit input
+// domain (unclamped planes from pixel-domain edits). It prepares the table
+// on every call; a caller quantizing many blocks with one table holds a
 // ForwardQuantizer instead.
 func ForwardQuantized(spatial *FloatBlock, q *QuantTable) Block {
 	fq := NewForwardQuantizer(q)
@@ -110,10 +113,15 @@ func ForwardQuantized(spatial *FloatBlock, q *QuantTable) Block {
 }
 
 // ForwardQuantizedReference is the pre-AAN quantizing path (reference DCT
-// then Quantize), kept for equivalence testing.
+// then Quantize, with the ACs floored at ACMin), kept for equivalence
+// testing.
 func ForwardQuantizedReference(spatial *FloatBlock, q *QuantTable) Block {
 	raw := ForwardReference(spatial)
-	return Quantize(&raw, q)
+	out := Quantize(&raw, q)
+	for i := 1; i < BlockLen; i++ {
+		out[i] = max(out[i], ACMin)
+	}
+	return out
 }
 
 // InverseQuantized dequantizes a coefficient block with the given table and

@@ -264,7 +264,10 @@ func FromStdImage(src image.Image) (*Image, error) {
 // produces the exact 8-bit channel values the interface route's
 // 16-bit-to-8-bit shift yields (NRGBA premultiplies with the stdlib's own
 // *0x101 * alpha / 0xff arithmetic; YCbCr calls color.YCbCr.RGBA on an
-// unboxed value), so results are bit-identical.
+// unboxed value), so results are bit-identical. Every other image that
+// implements image.RGBA64Image (16-bit, CMYK and paletted images among the
+// stdlib's) is read through RGBA64At, which its contract makes equal to
+// At(x, y).RGBA().
 func RowReader(src image.Image) func(y int, dy, du, dv []float32) {
 	b := src.Bounds()
 	switch s := src.(type) {
@@ -309,6 +312,17 @@ func RowReader(src image.Image) func(y int, dy, du, dv []float32) {
 				ci := s.COffset(b.Min.X+x, py)
 				r16, g16, b16, _ := color.YCbCr{Y: l, Cb: s.Cb[ci], Cr: s.Cr[ci]}.RGBA()
 				dy[x], du[x], dv[x] = RGBToYUV(float32(r16>>8), float32(g16>>8), float32(b16>>8))
+			}
+		}
+	case image.RGBA64Image:
+		// RGBA64At is At(x, y).RGBA() without boxing the color: the
+		// stdlib's 16-bit, CMYK and paletted images implement it by
+		// calling RGBA on their unboxed color values.
+		return func(y int, dy, du, dv []float32) {
+			du, dv = du[:len(dy)], dv[:len(dy)]
+			for x := range dy {
+				c := s.RGBA64At(b.Min.X+x, b.Min.Y+y)
+				dy[x], du[x], dv[x] = RGBToYUV(float32(c.R>>8), float32(c.G>>8), float32(c.B>>8))
 			}
 		}
 	default:

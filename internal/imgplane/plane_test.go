@@ -233,7 +233,8 @@ type opaqueImage struct{ image.Image }
 // TestFromStdImageFastPathsMatchGeneric pins that the typed Pix-slice
 // readers in FromStdImage produce bit-identical planes to the generic
 // color.Color route they replace, including non-opaque NRGBA pixels,
-// every YCbCr subsample ratio and a non-zero bounds origin.
+// every YCbCr subsample ratio, the RGBA64At reader's 16-bit, CMYK and
+// paletted images, and a non-zero bounds origin.
 func TestFromStdImageFastPathsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	bounds := image.Rect(3, 5, 3+37, 5+23)
@@ -260,6 +261,25 @@ func TestFromStdImageFastPathsMatchGeneric(t *testing.T) {
 		gray.Pix[i] = uint8(rng.Intn(256))
 	}
 
+	// 16-bit, CMYK and paletted images take the RGBA64At reader.
+	nrgba64 := image.NewNRGBA64(bounds)
+	rgba64 := image.NewRGBA64(bounds)
+	gray16 := image.NewGray16(bounds)
+	cmyk := image.NewCMYK(bounds)
+	for _, p := range [][]uint8{nrgba64.Pix, rgba64.Pix, gray16.Pix, cmyk.Pix} {
+		for i := range p {
+			p[i] = uint8(rng.Intn(256))
+		}
+	}
+	var palette color.Palette
+	for i := 0; i < 16; i++ {
+		palette = append(palette, color.NRGBA{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))})
+	}
+	paletted := image.NewPaletted(bounds, palette)
+	for i := range paletted.Pix {
+		paletted.Pix[i] = uint8(rng.Intn(len(palette)))
+	}
+
 	type testCase struct {
 		name string
 		src  image.Image
@@ -268,6 +288,11 @@ func TestFromStdImageFastPathsMatchGeneric(t *testing.T) {
 		{"rgba", rgba},
 		{"nrgba", nrgba},
 		{"gray", gray},
+		{"nrgba64", nrgba64},
+		{"rgba64", rgba64},
+		{"gray16", gray16},
+		{"cmyk", cmyk},
+		{"paletted", paletted},
 	}
 	// YCbCr at every subsample ratio, both allocated at the odd bounds and
 	// cut from a larger image at a negative odd origin (chroma offsets

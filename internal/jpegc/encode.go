@@ -160,24 +160,55 @@ func (m *Image) nonzeroMasks(slab []uint64) (blockMasks, error) {
 
 // maskBlocks writes each block's nonzero-AC mask into dst and reports
 // whether every coefficient is in range. Natural blocks are mostly zero
-// ACs in no predictable pattern, so neither the mask nor the range check
-// branches on a coefficient: the range check keeps running minima and
-// maxima and tests them once at the end.
+// ACs, and most of their high-frequency rows are all zero: each
+// natural-order row of 8 coefficients is tested with one OR and skipped
+// when zero, the one branch per row. Row 0 is tested without the DC, so a
+// flat block skips all eight. A nonzero row's 8-bit natural mask is built
+// without branches from the coefficients' magnitudes and mapped to zigzag
+// bits through zzRowBits. The range check ORs together every AC magnitude
+// and half of each DC's offset from CoeffMin: bits 10 and up stay clear
+// exactly when every AC is in [ACMin, CoeffMax] and every DC in
+// [CoeffMin, CoeffMax] (int32 wraparound lands far outside), and they are
+// tested once at the end.
 func maskBlocks(blocks []dct.Block, dst []uint64) bool {
-	var dcLo, dcHi, acLo, acHi int32
+	var out uint32
 	for bi := range blocks {
 		b := &blocks[bi]
-		dcLo, dcHi = min(dcLo, b[0]), max(dcHi, b[0])
+		out |= uint32(b[0]-dct.CoeffMin) >> 1
 		var mask uint64
-		for zz := 1; zz < dct.BlockLen; zz++ {
-			v := b[dct.ZigZag[zz]&(dct.BlockLen-1)]
-			acLo, acHi = min(acLo, v), max(acHi, v)
-			// v|-v has its sign bit set exactly when v != 0.
-			mask |= uint64(uint32(v|-v)>>31) << zz
+		keep0 := int32(0) // drops the DC from row 0
+		for r := 0; r < dct.BlockSize; r++ {
+			row := (*[dct.BlockSize]int32)(b[r*dct.BlockSize:])
+			v0, v1, v2, v3, v4, v5, v6, v7 := row[0]&keep0, row[1], row[2], row[3], row[4], row[5], row[6], row[7]
+			keep0 = -1
+			if v0|v1|v2|v3|v4|v5|v6|v7 == 0 {
+				continue
+			}
+			a0, a1, a2, a3, a4, a5, a6, a7 := abs32(v0), abs32(v1), abs32(v2), abs32(v3), abs32(v4), abs32(v5), abs32(v6), abs32(v7)
+			// -a has its top bit set exactly when a != 0.
+			nz := (-a0)>>31 | (-a1)>>31<<1 | (-a2)>>31<<2 | (-a3)>>31<<3 | (-a4)>>31<<4 | (-a5)>>31<<5 | (-a6)>>31<<6 | (-a7)>>31<<7
+			mask |= zzRowBits[r][nz]
+			out |= a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7
 		}
 		dst[bi] = mask
 	}
-	return dcLo >= dct.CoeffMin && dcHi <= dct.CoeffMax && acLo >= ACMin && acHi <= dct.CoeffMax
+	return out>>10 == 0
+}
+
+// zzRowBits[r][m] is the zigzag mask of the positions in natural-order row
+// r whose columns are set in the 8-bit mask m.
+var zzRowBits [dct.BlockSize][1 << dct.BlockSize]uint64
+
+func init() {
+	for r := range zzRowBits {
+		for m := range zzRowBits[r] {
+			for c := 0; c < dct.BlockSize; c++ {
+				if m>>c&1 != 0 {
+					zzRowBits[r][m] |= 1 << dct.UnZigZag[r*dct.BlockSize+c]
+				}
+			}
+		}
+	}
 }
 
 // validateCoefficientRanges reports the first out-of-range coefficient in
@@ -192,9 +223,9 @@ func (m *Image) validateCoefficientRanges() error {
 					ci, bi, b[0], dct.CoeffMin, dct.CoeffMax)
 			}
 			for i := 1; i < dct.BlockLen; i++ {
-				if b[i] < ACMin || b[i] > dct.CoeffMax {
+				if b[i] < dct.ACMin || b[i] > dct.CoeffMax {
 					return fmt.Errorf("jpegc: component %d block %d AC[%d] %d out of range [%d,%d]",
-						ci, bi, i, b[i], ACMin, dct.CoeffMax)
+						ci, bi, i, b[i], dct.ACMin, dct.CoeffMax)
 				}
 			}
 		}

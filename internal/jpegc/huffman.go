@@ -323,8 +323,13 @@ func BuildOptimalSpec(freq *[256]int64) (HuffmanSpec, error) {
 // magnitudeCategory returns the JPEG size category of v: the number of bits
 // needed to represent |v| (0 for v == 0).
 func magnitudeCategory(v int32) int {
+	return bits.Len32(abs32(v))
+}
+
+// abs32 returns |v| without a branch; abs32(math.MinInt32) is 1<<31.
+func abs32(v int32) uint32 {
 	s := v >> 31
-	return bits.Len32(uint32((v ^ s) - s))
+	return uint32((v ^ s) - s)
 }
 
 // magnitudeBits returns the SSSS magnitude bits for value v in category size

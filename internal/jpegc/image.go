@@ -33,9 +33,6 @@ import (
 	"puppies/internal/parallel"
 )
 
-// ACMin is the minimum representable AC coefficient in baseline JPEG.
-const ACMin = -1023
-
 // Component is one color channel of a coefficient image: a dense row-major
 // grid of quantized 8x8 DCT blocks.
 type Component struct {
@@ -382,15 +379,6 @@ func quantizeBlockRow(dst []dct.Block, strip *imgplane.Plane, fq *dct.ForwardQua
 			}
 		}
 		fq.Quantize(&dst[bx], spatial)
-		clampBaselineAC(&dst[bx])
-	}
-}
-
-// clampBaselineAC forces AC coefficients into the baseline-representable
-// range [-1023, 1023].
-func clampBaselineAC(b *dct.Block) {
-	for i := 1; i < dct.BlockLen; i++ {
-		b[i] = max(b[i], ACMin)
 	}
 }
 

@@ -2,9 +2,12 @@ package jpegc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"image"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"puppies/internal/dct"
@@ -193,7 +196,7 @@ func denseImage(rng *rand.Rand, w, h, channels, hs, vs int) *Image {
 			b := &c.Blocks[bi]
 			b[0] = int32(rng.Intn(dct.CoeffRange)) + dct.CoeffMin
 			for i := 1; i < dct.BlockLen; i++ {
-				b[i] = int32(rng.Intn(dct.CoeffMax-ACMin+1)) + ACMin
+				b[i] = int32(rng.Intn(dct.CoeffMax-dct.ACMin+1)) + dct.ACMin
 			}
 		}
 	}
@@ -276,4 +279,131 @@ func TestEncodeMatchesReferenceWalk(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refMaskBlocks is the scalar mask pass the row-skipping maskBlocks
+// replaced: it visits all 63 AC positions in zigzag order and keeps running
+// minima and maxima for the range check. Kept as the reference maskBlocks
+// must match.
+func refMaskBlocks(blocks []dct.Block, dst []uint64) bool {
+	var dcLo, dcHi, acLo, acHi int32
+	for bi := range blocks {
+		b := &blocks[bi]
+		dcLo, dcHi = min(dcLo, b[0]), max(dcHi, b[0])
+		var mask uint64
+		for zz := 1; zz < dct.BlockLen; zz++ {
+			v := b[dct.ZigZag[zz]]
+			acLo, acHi = min(acLo, v), max(acHi, v)
+			if v != 0 {
+				mask |= 1 << zz
+			}
+		}
+		dst[bi] = mask
+	}
+	return dcLo >= dct.CoeffMin && dcHi <= dct.CoeffMax && acLo >= dct.ACMin && acHi <= dct.CoeffMax
+}
+
+// checkMaskBlocks requires maskBlocks to give blocks the reference's masks
+// and range verdict.
+func checkMaskBlocks(t *testing.T, name string, blocks []dct.Block) {
+	t.Helper()
+	got := make([]uint64, len(blocks))
+	want := make([]uint64, len(blocks))
+	gotOK := maskBlocks(blocks, got)
+	wantOK := refMaskBlocks(blocks, want)
+	if gotOK != wantOK {
+		t.Fatalf("%s: in range %v, reference %v", name, gotOK, wantOK)
+	}
+	for bi := range got {
+		if got[bi] != want[bi] {
+			t.Fatalf("%s: block %d mask %#x, reference %#x\n%s", name, bi, got[bi], want[bi], blocks[bi].String())
+		}
+	}
+}
+
+// TestMaskBlocksMatchesReference holds the row-skipping mask pass to the
+// scalar reference: random dense and sparse blocks, one nonzero at each
+// position, every pattern of all-zero rows, and the range edges (and int32
+// wraparound) at the DC and at every AC.
+func TestMaskBlocksMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	dense := make([]dct.Block, 200)
+	sparse := make([]dct.Block, 200)
+	for bi := range dense {
+		for i := range dense[bi] {
+			dense[bi][i] = int32(rng.Intn(2*dct.CoeffRange)) - dct.CoeffRange
+		}
+		sparse[bi][0] = int32(rng.Intn(dct.CoeffRange)) + dct.CoeffMin
+		for n := rng.Intn(6); n > 0; n-- {
+			sparse[bi][rng.Intn(dct.BlockLen)] = int32(rng.Intn(2*dct.CoeffMax+1)) - dct.CoeffMax
+		}
+	}
+	checkMaskBlocks(t, "sparse", sparse)
+	for bi := range dense {
+		checkMaskBlocks(t, fmt.Sprintf("dense block %d", bi), dense[bi:bi+1])
+	}
+	// Dense blocks in range: each coefficient drawn from its own range.
+	inRange := denseImage(rng, 80, 80, 1, 1, 1).Comps[0].Blocks
+	checkMaskBlocks(t, "dense in range", inRange)
+
+	var single []dct.Block
+	for i := 0; i < dct.BlockLen; i++ {
+		for _, v := range []int32{1, -1, dct.CoeffMax, dct.ACMin} {
+			var b dct.Block
+			b[i] = v
+			single = append(single, b)
+		}
+	}
+	checkMaskBlocks(t, "one nonzero", single)
+
+	var rows []dct.Block
+	for zero := 0; zero < 1<<dct.BlockSize; zero++ {
+		b := inRange[zero%len(inRange)]
+		for r := 0; r < dct.BlockSize; r++ {
+			if zero>>r&1 != 0 {
+				clear(b[r*dct.BlockSize:][:dct.BlockSize])
+			}
+		}
+		rows = append(rows, b)
+	}
+	checkMaskBlocks(t, "zero rows", rows)
+
+	for i := 0; i < dct.BlockLen; i++ {
+		for _, v := range []int32{-1025, -1024, -1023, 1023, 1024, math.MinInt32, math.MaxInt32} {
+			for _, fill := range []int32{0, 1} {
+				var b dct.Block
+				for j := range b {
+					b[j] = fill
+				}
+				b[i] = v
+				checkMaskBlocks(t, fmt.Sprintf("index %d = %d on %d", i, v, fill), []dct.Block{b})
+			}
+		}
+	}
+}
+
+// FuzzMaskBlocks holds maskBlocks to the scalar reference on fuzzed
+// blocks: each coefficient is a little-endian int16, which reaches past
+// both ends of the coefficient range.
+func FuzzMaskBlocks(f *testing.F) {
+	zero := make([]byte, 2*dct.BlockLen)
+	f.Add(zero)
+	edge := slices.Clone(zero)
+	for i, v := range []int16{-1024, -1023, 1023, 1024, -1025} {
+		binary.LittleEndian.PutUint16(edge[2*9*i:], uint16(v))
+	}
+	f.Add(edge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/(2*dct.BlockLen), 16)
+		if n == 0 {
+			t.Skip("fewer than 64 coefficients")
+		}
+		blocks := make([]dct.Block, n)
+		for bi := range blocks {
+			for i := range blocks[bi] {
+				blocks[bi][i] = int32(int16(binary.LittleEndian.Uint16(data[2*(bi*dct.BlockLen+i):])))
+			}
+		}
+		checkMaskBlocks(t, "fuzzed", blocks)
+	})
 }

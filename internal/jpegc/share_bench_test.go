@@ -3,6 +3,7 @@ package jpegc
 import (
 	"bytes"
 	"image"
+	"math/rand"
 	"testing"
 
 	"puppies/internal/dataset"
@@ -124,6 +125,46 @@ func BenchmarkEncodeOptimizedShare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var cw countingWriter
 		if err := img.Encode(&cw, EncodeOptions{Tables: TablesOptimized}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// The Mask benchmarks time the encoder's nonzero-mask pass alone on three
+// layouts of the share render's size: the render itself, whose
+// high-frequency rows are almost all zero; dense blocks, every AC random
+// over the baseline range (a PuPPIeS-N ROI); and blocks whose rows are
+// each zero or dense at random, so the pass's per-row branch mispredicts.
+func BenchmarkMaskShare(b *testing.B) {
+	benchMask(b, shareImage(b))
+}
+
+func BenchmarkMaskDense(b *testing.B) {
+	benchMask(b, denseImage(rand.New(rand.NewSource(31)), 896, 592, 3, 1, 1))
+}
+
+func BenchmarkMaskHostileRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(37))
+	img := denseImage(rng, 896, 592, 3, 1, 1)
+	for ci := range img.Comps {
+		for bi := range img.Comps[ci].Blocks {
+			blk := &img.Comps[ci].Blocks[bi]
+			for r := 0; r < dct.BlockSize; r++ {
+				if rng.Intn(2) == 0 {
+					clear(blk[r*dct.BlockSize:][:dct.BlockSize])
+				}
+			}
+		}
+	}
+	benchMask(b, img)
+}
+
+func benchMask(b *testing.B, img *Image) {
+	slab := make([]uint64, img.blockCount())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := img.nonzeroMasks(slab); err != nil {
 			b.Fatal(err)
 		}
 	}
