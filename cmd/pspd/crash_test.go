@@ -197,6 +197,34 @@ func httpGetBytes(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, raw
 }
 
+// searchIDs runs one /v1/search query (a POST body is a raw JPEG) and
+// returns the IDs it answered.
+func searchIDs(t *testing.T, method, url string, body []byte) []string {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "image/jpeg")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr psp.SearchResponse
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s: HTTP %d", method, url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(sr.Results))
+	for i, r := range sr.Results {
+		ids[i] = r.ID
+	}
+	return ids
+}
+
 func listIDs(t *testing.T, base string) []string {
 	t.Helper()
 	code, raw := httpGetBytes(t, base+"/v1/images")
@@ -356,6 +384,9 @@ func TestCorruptRecordQuarantinedAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := searchIndexed(t, d.base()); got != 2 {
+		t.Fatalf("search indexed = %d before the crash, want 2", got)
+	}
 	d.kill(t)
 
 	victimPath := filepath.Join(dataDir, "records", victimID+".psp")
@@ -386,6 +417,25 @@ func TestCorruptRecordQuarantinedAcrossRestart(t *testing.T) {
 	code, jpegBytes := httpGetBytes(t, d2.base()+"/v1/images/"+goodID)
 	if code != http.StatusOK || !bytes.Equal(jpegBytes, good.prot.JPEG) {
 		t.Fatalf("intact record damaged by neighbour corruption (HTTP %d)", code)
+	}
+
+	// The index keeps only the records the store loaded: search never
+	// answers the quarantined ID, which would 404.
+	if got := searchIndexed(t, d2.base()); got != 1 {
+		t.Errorf("search indexed = %d after restart, want 1 (the quarantined record is still indexed)", got)
+	}
+	for _, req := range []struct {
+		method, url string
+		body        []byte
+	}{
+		{http.MethodGet, d2.base() + "/v1/search?k=10&id=" + goodID, nil},
+		{http.MethodPost, d2.base() + "/v1/search?k=10", victim.prot.JPEG},
+	} {
+		for _, id := range searchIDs(t, req.method, req.url, req.body) {
+			if id == victimID {
+				t.Errorf("%s %s answered the quarantined ID %s", req.method, req.url, victimID)
+			}
+		}
 	}
 
 	// Quarantine preserves the damaged bytes for forensics — never deletes.

@@ -17,8 +17,7 @@
 // corrupts an acknowledged image. On start the directory is scanned, bad
 // files are quarantined (never deleted), and a recovery report is logged.
 // Without -data-dir images live in memory only; either way the idempotency
-// key index is bounded by -idempotency-cap (and -idempotency-ttl in memory
-// mode).
+// key index is bounded by -idempotency-cap, evicting the oldest key first.
 //
 // The serving path is cached (see internal/servecache): -cache-bytes
 // budgets the encoded transform-output LRU and -coeff-cache-bytes the
@@ -43,8 +42,8 @@
 //	POST /v1/search?k=K                      k nearest stored images to the posted image
 //
 // Every accepted upload is also signature-indexed for /v1/search; with
-// -data-dir (or an explicit -search-dir) the index persists via snapshot +
-// journal and reloads on restart.
+// -data-dir the index persists under <data-dir>/searchidx via snapshot +
+// journal and reloads on restart, keeping only the IDs the store loaded.
 package main
 
 import (
@@ -90,9 +89,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	d := spine.Daemon{Name: "pspd"}
 	d.Flags(fs, ":8754", psp.DefaultInflightPerProc)
 	dataDir := fs.String("data-dir", "", "durable storage directory; empty keeps images in memory only")
-	searchDir := fs.String("search-dir", "", "persistent search-index directory (default <data-dir>/searchidx when -data-dir is set; empty with no -data-dir keeps the index in memory)")
-	idemCap := fs.Int("idempotency-cap", psp.DefaultMaxKeys, "max idempotency keys remembered (LRU eviction beyond)")
-	idemTTL := fs.Duration("idempotency-ttl", psp.DefaultKeyTTL, "idempotency key lifetime (memory store; 0 disables expiry)")
+	idemCap := fs.Int("idempotency-cap", psp.DefaultMaxKeys, "max idempotency keys remembered (oldest evicted beyond)")
 	cacheBytes := fs.Int64("cache-bytes", psp.DefaultVariantCacheBytes, "encoded transform-output cache budget in bytes (0 disables)")
 	coeffCacheBytes := fs.Int64("coeff-cache-bytes", psp.DefaultCoeffCacheBytes, "decoded-coefficient cache budget in bytes (0 disables)")
 	reqTimeout := fs.Duration("request-timeout", 60*time.Second, "per-request handler timeout (0 disables)")
@@ -103,7 +100,8 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		return err
 	}
 
-	var store psp.Store
+	var store psp.Store = psp.NewMemStoreBounded(*idemCap)
+	var six *searchidx.Index // nil: a fresh in-memory index
 	if *dataDir != "" {
 		bs, report, err := blobstore.Open(*dataDir, blobstore.Options{MaxKeys: *idemCap})
 		if err != nil {
@@ -118,26 +116,23 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		for _, u := range report.Unsupported {
 			fmt.Fprintf(stdout, "pspd skipped future-version record %s\n", u)
 		}
-		store = bs
-	} else {
-		store = psp.NewMemStoreBounded(*idemCap, *idemTTL, nil)
-	}
-	server := psp.NewServerWith(store)
-	// The search index persists next to the blobs by default: a restarted
-	// daemon answers /v1/search without rescanning and re-decoding the store.
-	sixDir := *searchDir
-	if sixDir == "" && *dataDir != "" {
-		sixDir = filepath.Join(*dataDir, "searchidx")
-	}
-	if sixDir != "" {
-		six, err := searchidx.OpenDir(sixDir)
+		// The search index persists next to the blobs: a restarted daemon
+		// answers /v1/search without re-decoding the store, and only for
+		// the records the store loaded.
+		sixDir := filepath.Join(*dataDir, "searchidx")
+		six, err = searchidx.OpenDir(nil, sixDir, func(id string) bool {
+			_, _, ok, err := bs.Get(id)
+			return ok && err == nil
+		})
 		if err != nil {
 			return fmt.Errorf("pspd: open search index %s: %w", sixDir, err)
 		}
 		defer six.Close()
-		server.SearchIndex = six
+		store = bs
 		fmt.Fprintf(stdout, "pspd search index: %d signatures loaded from %s\n", six.Len(), sixDir)
 	}
+	server := psp.NewServerWith(store)
+	server.SearchIndex = six
 	// Flag semantics: 0 disables a cache; the Server field spells that -1.
 	server.VariantCacheBytes = *cacheBytes
 	if *cacheBytes <= 0 {

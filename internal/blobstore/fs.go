@@ -15,9 +15,11 @@
 package blobstore
 
 import (
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
 )
 
 // File is the writable-file surface the store needs: sequential writes, a
@@ -83,4 +85,44 @@ func (OSFS) SyncDir(name string) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// WriteDurable installs data at path with the durable-write sequence: stage
+// it in tmp (created or truncated, written, fsynced), rename tmp over path,
+// then fsync path's directory. When it returns an error before the rename,
+// tmp is removed (best effort) and path is untouched; an error from the
+// directory sync means the rename happened but may not survive power loss.
+func WriteDurable(fsys FS, tmp, path string, data []byte) error {
+	if err := writeFileDurable(fsys, tmp, data); err != nil {
+		_ = fsys.Remove(tmp)
+		return err
+	}
+	if err := fsys.Rename(tmp, path); err != nil {
+		_ = fsys.Remove(tmp)
+		return fmt.Errorf("blobstore: rename %s: %w", path, err)
+	}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("blobstore: sync dir of %s: %w", path, err)
+	}
+	return nil
+}
+
+// writeFileDurable creates or truncates path, writes data, and fsyncs it.
+func writeFileDurable(fsys FS, path string, data []byte) error {
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("blobstore: stage %s: %w", path, err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return fmt.Errorf("blobstore: write %s: %w", path, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("blobstore: fsync %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("blobstore: close %s: %w", path, err)
+	}
+	return nil
 }

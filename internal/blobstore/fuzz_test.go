@@ -2,6 +2,10 @@ package blobstore
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc32"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -40,4 +44,40 @@ func FuzzEnvelope(f *testing.F) {
 			t.Fatalf("non-canonical decode: %d input bytes accepted but re-encode to %d different bytes", len(data), len(re))
 		}
 	})
+}
+
+// FuzzLog feeds arbitrary bytes to the journal codec. The contract under
+// fuzzing: parseLog never panics and returns exactly the checksum-valid
+// prefix — its bodies re-frame to the input's leading bytes, and the line
+// after them, checked by an independent decoder, is not intact.
+func FuzzLog(f *testing.F) {
+	f.Add([]byte(logLine("B abc") + logLine("C abc")))
+	f.Add([]byte(logLine("id c2lnbmF0dXJl") + "deadbeef torn-line-without-valid-"))
+	f.Add([]byte(logLine("x") + "\n" + logLine("y")))
+	f.Add([]byte(strings.ToUpper(logLine("B abc"))))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var prefix []byte
+		for _, body := range parseLog(data) {
+			prefix = append(prefix, logLine(body)...)
+		}
+		if !bytes.HasPrefix(data, prefix) {
+			t.Fatalf("replayed bodies re-frame to %q, not a prefix of the input", prefix)
+		}
+		if line, _, ok := bytes.Cut(data[len(prefix):], []byte("\n")); ok && intactLine(line) {
+			t.Fatalf("replay stopped before the intact line %q", line)
+		}
+	})
+}
+
+// intactLine reports whether line (without its newline) is "%08x body"
+// with the lowercase hex CRC32C of body.
+func intactLine(line []byte) bool {
+	if len(line) < 9 || line[8] != ' ' {
+		return false
+	}
+	crc, err := strconv.ParseUint(string(line[:8]), 16, 32)
+	return err == nil && fmt.Sprintf("%08x", crc) == string(line[:8]) &&
+		crc32.Checksum(line[9:], castagnoli) == uint32(crc)
 }

@@ -3,7 +3,6 @@ package blobstore
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -74,15 +73,13 @@ type RecoveryReport struct {
 // Store is a crash-safe on-disk record store. All methods are safe for
 // concurrent use; writes are serialized (one durable upload at a time).
 type Store struct {
-	dir     string
-	fsys    FS
-	maxKeys int
+	dir  string
+	fsys FS
 
 	mu      sync.RWMutex
 	recs    map[string]*Record
-	byKey   map[string]string
-	keyAge  []string // oldest-first insertion order for cap eviction
-	journal File
+	keys    KeyIndex
+	journal *Log
 	closed  bool
 }
 
@@ -99,11 +96,10 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 		maxKeys = DefaultMaxKeys
 	}
 	s := &Store{
-		dir:     dir,
-		fsys:    fsys,
-		maxKeys: maxKeys,
-		recs:    make(map[string]*Record),
-		byKey:   make(map[string]string),
+		dir:  dir,
+		fsys: fsys,
+		recs: make(map[string]*Record),
+		keys: NewKeyIndex(maxKeys),
 	}
 	for _, d := range []string{dir, filepath.Join(dir, recordsDir), filepath.Join(dir, tmpDir), filepath.Join(dir, quarantineDir)} {
 		if err := fsys.MkdirAll(d, 0o755); err != nil {
@@ -116,9 +112,11 @@ func Open(dir string, opts Options) (*Store, *RecoveryReport, error) {
 	}
 	// Compact the journal now that every pending upload is resolved, then
 	// keep it open for appends.
-	if err := s.resetJournal(); err != nil {
+	journal, err := CreateLog(fsys, filepath.Join(dir, journalName))
+	if err != nil {
 		return nil, nil, err
 	}
+	s.journal = journal
 	return s, report, nil
 }
 
@@ -164,9 +162,7 @@ func (s *Store) recover(report *RecoveryReport) error {
 			continue
 		}
 		s.recs[rec.ID] = rec
-		if rec.Key != "" {
-			s.addKeyLocked(rec.Key, rec.ID)
-		}
+		s.keys.Add(rec.Key, rec.ID)
 		report.Loaded++
 		delete(pending, rec.ID)
 	}
@@ -211,79 +207,26 @@ func (s *Store) quarantine(path, reason string, report *RecoveryReport) error {
 	return nil
 }
 
-// Journal lines are "crc32c(hex) op id\n" with op B (begin) or C (commit).
-// Each line carries its own checksum so a torn tail (crash mid-append) is
-// detected and ignored rather than misparsed.
-
-func journalLine(op, id string) string {
-	body := op + " " + id
-	return fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(body), castagnoli), body)
-}
-
 // readJournal returns the set of BEGIN ids with no matching COMMIT.
-// Malformed or checksum-failing lines end the useful prefix (they can only
-// come from a torn final append or external damage; everything after them
-// is untrustworthy).
+// Journal bodies are "op id" with op B (begin) or C (commit); replay stops
+// at the journal's first damaged line (see ReadLog).
 func (s *Store) readJournal() (map[string]bool, error) {
 	pending := make(map[string]bool)
-	data, err := s.fsys.ReadFile(filepath.Join(s.dir, journalName))
+	bodies, err := ReadLog(s.fsys, filepath.Join(s.dir, journalName))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return pending, nil
-		}
-		return nil, fmt.Errorf("blobstore: read journal: %w", err)
+		return nil, err
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		parts := strings.SplitN(line, " ", 3)
-		if len(parts) != 3 {
-			return pending, nil
-		}
-		var crc uint32
-		if _, err := fmt.Sscanf(parts[0], "%08x", &crc); err != nil {
-			return pending, nil
-		}
-		body := parts[1] + " " + parts[2]
-		if crc32.Checksum([]byte(body), castagnoli) != crc {
-			return pending, nil
-		}
-		switch parts[1] {
+	for _, body := range bodies {
+		switch op, id, _ := strings.Cut(body, " "); op {
 		case "B":
-			pending[parts[2]] = true
+			pending[id] = true
 		case "C":
-			delete(pending, parts[2])
+			delete(pending, id)
 		default:
 			return pending, nil
 		}
 	}
 	return pending, nil
-}
-
-// resetJournal truncates the journal (every recovered upload is resolved)
-// and keeps the handle open for future appends.
-func (s *Store) resetJournal() error {
-	f, err := s.fsys.OpenFile(filepath.Join(s.dir, journalName), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("blobstore: open journal: %w", err)
-	}
-	s.journal = f
-	return nil
-}
-
-// appendJournal writes one line; sync is required only for BEGIN entries
-// (a lost COMMIT is harmless: recovery re-verifies the record itself).
-func (s *Store) appendJournal(op, id string, sync bool) error {
-	if _, err := s.journal.Write([]byte(journalLine(op, id))); err != nil {
-		return fmt.Errorf("blobstore: journal append: %w", err)
-	}
-	if sync {
-		if err := s.journal.Sync(); err != nil {
-			return fmt.Errorf("blobstore: journal sync: %w", err)
-		}
-	}
-	return nil
 }
 
 // validID rejects ids that cannot serve as safe file names.
@@ -318,10 +261,8 @@ func (s *Store) Put(id string, jpeg, params []byte, key string) (string, error) 
 	if s.closed {
 		return "", errors.New("blobstore: store is closed")
 	}
-	if key != "" {
-		if prev, ok := s.byKey[key]; ok {
-			return prev, nil
-		}
+	if prev, ok := s.keys.Get(key); ok {
+		return prev, nil
 	}
 	if _, ok := s.recs[id]; ok {
 		return "", fmt.Errorf("blobstore: id %q already stored", id)
@@ -331,74 +272,71 @@ func (s *Store) Put(id string, jpeg, params []byte, key string) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	if err := s.appendJournal("B", id, true); err != nil {
+	// Journal the BEGIN durably: a lost COMMIT is harmless (recovery
+	// re-verifies the record itself).
+	if err := s.journal.Append("B "+id, true); err != nil {
 		return "", err
 	}
-	tmpPath := filepath.Join(s.dir, tmpDir, id+recordExt)
-	finalPath := filepath.Join(s.dir, recordsDir, id+recordExt)
-	if err := s.writeFileDurable(tmpPath, env); err != nil {
-		// Best-effort unstage; recovery quarantines whatever remains.
-		_ = s.fsys.Remove(tmpPath)
-		return "", err
-	}
-	if err := s.fsys.Rename(tmpPath, finalPath); err != nil {
-		_ = s.fsys.Remove(tmpPath)
-		return "", fmt.Errorf("blobstore: commit %s: %w", id, err)
-	}
-	if err := s.fsys.SyncDir(filepath.Join(s.dir, recordsDir)); err != nil {
-		// The rename happened but may not survive a power cut, so the
-		// upload must not be acknowledged. The complete record file stays
-		// behind; if it does survive, a later recovery loads it and its
-		// embedded idempotency key, so the client's retry still
+	err = WriteDurable(s.fsys, filepath.Join(s.dir, tmpDir, id+recordExt), filepath.Join(s.dir, recordsDir, id+recordExt), env)
+	if err != nil {
+		// Whatever is staged, recovery quarantines. If only the directory
+		// sync failed, the rename happened but may not survive a power
+		// cut, so the upload must not be acknowledged. The complete record
+		// file stays behind; if it does survive, a later recovery loads it
+		// and its embedded idempotency key, so the client's retry still
 		// deduplicates (at-least-once, never silent loss).
-		return "", fmt.Errorf("blobstore: sync records dir: %w", err)
+		return "", err
 	}
-	if err := s.appendJournal("C", id, false); err != nil {
+	if err := s.journal.Append("C "+id, false); err != nil {
 		return "", err
 	}
 	s.recs[id] = rec
-	if key != "" {
-		s.addKeyLocked(key, id)
-	}
+	s.keys.Add(key, id)
 	return id, nil
 }
 
-// writeFileDurable creates path exclusively, writes data, and fsyncs it.
-func (s *Store) writeFileDurable(path string, data []byte) error {
-	f, err := s.fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("blobstore: stage %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("blobstore: write %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("blobstore: fsync %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("blobstore: close %s: %w", path, err)
-	}
-	return nil
+// KeyIndex is the idempotency-key index both PSP stores use: key -> image
+// ID, capped, evicting the oldest key first. An evicted key falls back to
+// normal upload semantics: a retry stores a second copy under a new ID
+// instead of deduplicating, which is safe, just not deduplicated. Callers
+// provide locking.
+type KeyIndex struct {
+	max   int
+	byKey map[string]string
+	age   []string // oldest-first insertion order for cap eviction
 }
 
-// addKeyLocked indexes key -> id, evicting oldest entries beyond the cap.
-// Caller holds mu.
-func (s *Store) addKeyLocked(key, id string) {
-	if s.maxKeys < 0 {
+// NewKeyIndex returns an index holding at most max keys; max <= 0
+// disables it.
+func NewKeyIndex(max int) KeyIndex {
+	return KeyIndex{max: max, byKey: make(map[string]string)}
+}
+
+// Get resolves key; the empty key never resolves.
+func (k *KeyIndex) Get(key string) (string, bool) {
+	id, ok := k.byKey[key]
+	return id, ok
+}
+
+// Add indexes key -> id unless key is empty or already indexed, then
+// evicts the oldest keys beyond the cap.
+func (k *KeyIndex) Add(key, id string) {
+	if key == "" || k.max <= 0 {
 		return
 	}
-	if _, ok := s.byKey[key]; ok {
+	if _, ok := k.byKey[key]; ok {
 		return
 	}
-	s.byKey[key] = id
-	s.keyAge = append(s.keyAge, key)
-	for len(s.byKey) > s.maxKeys && len(s.keyAge) > 0 {
-		delete(s.byKey, s.keyAge[0])
-		s.keyAge = s.keyAge[1:]
+	k.byKey[key] = id
+	k.age = append(k.age, key)
+	for len(k.byKey) > k.max {
+		delete(k.byKey, k.age[0])
+		k.age = k.age[1:]
 	}
 }
+
+// Len reports how many keys are indexed.
+func (k *KeyIndex) Len() int { return len(k.byKey) }
 
 // Get returns the stored record's payloads. The slices alias store-internal
 // buffers and must not be mutated.
@@ -416,8 +354,7 @@ func (s *Store) Get(id string) (jpeg, params []byte, ok bool, err error) {
 func (s *Store) IDForKey(key string) (string, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	id, ok := s.byKey[key]
-	return id, ok
+	return s.keys.Get(key)
 }
 
 // IDs returns every stored image ID in sorted order.

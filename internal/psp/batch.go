@@ -14,9 +14,7 @@ import (
 	"net/http"
 	"sync"
 
-	"puppies/internal/jpegc"
 	"puppies/internal/parallel"
-	"puppies/internal/searchidx"
 	"puppies/internal/spine"
 )
 
@@ -39,7 +37,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // storeItem stores one batch item. The reader recycles the item's buffers
-// once it returns, which is safe: storeRaw copies borrowed bytes and
+// once it returns, which is safe: storeUpload copies borrowed bytes and
 // storeOne's JSON decode allocates its own.
 func (s *Server) storeItem(it spine.BatchItem) BatchResult {
 	if it.Raw {
@@ -48,66 +46,23 @@ func (s *Server) storeItem(it spine.BatchItem) BatchResult {
 	return s.storeOne(it.Body, it.Key)
 }
 
-// storeRaw validates and stores one image with optional public parameters,
-// reporting the outcome as a BatchResult. When owned is false the slices are
-// borrowed: they are copied before the store takes ownership, so callers may
-// recycle their buffers immediately. owned callers hand the slices over
-// outright and save the copies.
-func (s *Server) storeRaw(image, params []byte, key string, owned bool) BatchResult {
-	if len(image) == 0 {
-		return BatchResult{Error: "empty image", Status: http.StatusBadRequest}
-	}
-	if res, seen := s.keyHit(key, image, params); seen {
-		return res
-	}
-	// The PSP validates that the upload is a decodable JPEG (any PSP
-	// would), and derives the search signature from the same decode before
-	// the coefficient storage goes back to the slab pool — the signature's
-	// coarse luminance layout is all the PSP retains of the image content.
-	img, err := jpegc.Decode(bytes.NewReader(image))
-	if err != nil {
-		return BatchResult{Error: fmt.Sprintf("not a decodable baseline JPEG: %v", err), Status: http.StatusUnprocessableEntity}
-	}
-	sig := searchidx.Compute(img, params)
-	img.Recycle()
-	var idBytes [12]byte
-	if _, err := rand.Read(idBytes[:]); err != nil {
-		return BatchResult{Error: fmt.Sprintf("id generation: %v", err), Status: http.StatusInternalServerError}
-	}
-	var pb []byte
-	if len(params) > 0 {
-		pb = params
-		if !owned {
-			pb = bytes.Clone(params)
-		}
-	}
-	if !owned {
-		image = bytes.Clone(image)
-	}
-	// Put re-checks the key atomically, so concurrent parts (or retries)
-	// carrying the same key converge on one canonical ID.
-	canonical, err := s.st().Put(hex.EncodeToString(idBytes[:]), image, pb, key)
-	if err != nil {
-		return BatchResult{Error: fmt.Sprintf("store: %v", err), Status: http.StatusInternalServerError}
-	}
-	res := BatchResult{ID: canonical}
-	if near, ok := s.indexImage(canonical, sig); ok {
-		res.DuplicateOf = near.ID
-		res.Distance = near.Distance
-	}
-	return res
-}
-
-// storeOne runs the single-upload pipeline (decode request, idempotency
-// lookup, JPEG validation, store) on an UploadRequest body. Both POST
-// /v1/images and the batch route's JSON parts reduce to it, so the two
-// paths cannot drift.
+// storeOne decodes an UploadRequest body (POST /v1/images and the batch
+// route's JSON parts) and stores it under a fresh ID.
 func (s *Server) storeOne(body []byte, key string) BatchResult {
 	var req UploadRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return BatchResult{Error: fmt.Sprintf("decode request: %v", err), Status: http.StatusBadRequest}
 	}
 	return s.storeRaw(req.Image, req.Params, key, true)
+}
+
+// storeRaw stores an upload under a freshly minted ID (see storeUpload).
+func (s *Server) storeRaw(image, params []byte, key string, owned bool) BatchResult {
+	var idBytes [12]byte
+	if _, err := rand.Read(idBytes[:]); err != nil {
+		return BatchResult{Error: fmt.Sprintf("id generation: %v", err), Status: http.StatusInternalServerError}
+	}
+	return s.storeUpload(hex.EncodeToString(idBytes[:]), image, params, key, owned)
 }
 
 // batchWriterPool recycles the client's multipart coalescing buffer.

@@ -77,6 +77,20 @@ func (s *Server) searchStats() SearchStats {
 	}
 }
 
+// signature decodes a JPEG and derives its search signature, the one
+// place the PSP reads image content. The PSP validates every upload this
+// way (any PSP would), and the signature's coarse luminance layout is all
+// it retains; the coefficients go back to the slab pool at once.
+func signature(image, params []byte) (searchidx.Signature, error) {
+	img, err := jpegc.Decode(bytes.NewReader(image))
+	if err != nil {
+		return searchidx.Signature{}, err
+	}
+	sig := searchidx.Compute(img, params)
+	img.Recycle()
+	return sig, nil
+}
+
 // indexImage registers an accepted upload's signature and reports the
 // nearest previously stored image when it sits within dedupDistance — the
 // upload path's near-duplicate hint. The lookup runs before the add so the
@@ -109,13 +123,11 @@ func (s *Server) signatureFor(w http.ResponseWriter, id string) (searchidx.Signa
 		httpError(w, http.StatusNotFound, "image %q not found", id)
 		return searchidx.Signature{}, false
 	}
-	img, err := jpegc.Decode(bytes.NewReader(jpeg))
+	sig, err := signature(jpeg, params)
 	if err != nil {
 		writeComputeError(w, corruptStoredError(err))
 		return searchidx.Signature{}, false
 	}
-	sig := searchidx.Compute(img, params)
-	img.Recycle()
 	ix.Add(id, sig)
 	return sig, true
 }
@@ -141,13 +153,11 @@ func (s *Server) signatureFromBody(w http.ResponseWriter, r *http.Request) (sear
 		httpError(w, http.StatusBadRequest, "empty image")
 		return searchidx.Signature{}, false
 	}
-	img, err := jpegc.Decode(bytes.NewReader(image))
+	sig, err := signature(image, params)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "not a decodable baseline JPEG: %v", err)
 		return searchidx.Signature{}, false
 	}
-	sig := searchidx.Compute(img, params)
-	img.Recycle()
 	return sig, true
 }
 

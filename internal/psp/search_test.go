@@ -179,6 +179,34 @@ func TestUploadDedupHint(t *testing.T) {
 	}
 }
 
+// TestPutDedupHint: PUT runs the upload pipeline POST does, so a replica
+// PUT of a near-duplicate answers the same hint, and its decoded ID stays
+// the caller's.
+func TestPutDedupHint(t *testing.T) {
+	s, _, imgs, ids := searchFixture(t, 3)
+	recomp, err := transform.Apply(imgs[1], transform.Spec{Op: transform.OpCompress, Quality: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := doPutImage(t, s.Handler(), "replica-near", UploadRequest{Image: encodeJPEG(t, recomp)}, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("PUT: HTTP %d: %s", rec.Code, rec.Body.String())
+	}
+	var ur UploadResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &ur); err != nil {
+		t.Fatal(err)
+	}
+	if ur.ID != "replica-near" || ur.DuplicateOf != ids[1] || ur.Distance > dedupDistance {
+		t.Fatalf("PUT answered %+v, want id replica-near, duplicateOf %s", ur, ids[1])
+	}
+	// A distinct image carries no hint.
+	rec = doPutImage(t, s.Handler(), "replica-far", UploadRequest{Image: testJPEG(t, 32, 24)}, "")
+	var far UploadResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &far); err != nil || rec.Code != http.StatusOK || far.DuplicateOf != "" {
+		t.Fatalf("distinct PUT: HTTP %d, %+v, %v", rec.Code, far, err)
+	}
+}
+
 func TestBatchUploadIndexes(t *testing.T) {
 	s := NewServer()
 	srv := httptest.NewServer(s.Handler())

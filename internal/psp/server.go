@@ -345,7 +345,7 @@ func paramsEqual(a, b json.RawMessage) bool {
 // record answers 200 with the ID (so retries, re-replication, and read
 // repair all converge), while a PUT of different bytes under an existing ID
 // answers 409 and never overwrites. An Idempotency-Key is honored exactly
-// like POST's.
+// like POST's, and the answer carries POST's near-duplicate hint.
 func (s *Server) handlePutImage(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if err := validImageID(id); err != nil {
@@ -361,44 +361,57 @@ func (s *Server) handlePutImage(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "decode request: %v", err)
 		return
 	}
-	if len(req.Image) == 0 {
-		httpError(w, http.StatusBadRequest, "empty image")
-		return
-	}
+	writeUploadResult(w, s.storeUpload(id, req.Image, req.Params, strings.TrimSpace(r.Header.Get(idempotencyHeader)), true))
+}
 
-	key := strings.TrimSpace(r.Header.Get(idempotencyHeader))
-	if res, seen := s.keyHit(key, req.Image, req.Params); seen {
-		writeUploadResult(w, res)
-		return
+// storeUpload is the one upload pipeline: POST and batch uploads pass a
+// freshly minted id, PUT its caller-chosen one. A repeated Idempotency-Key
+// or an id already stored answers under storedAs's rule; otherwise the
+// upload must be a decodable JPEG, is stored, and is indexed for search,
+// with the nearest earlier image as the near-duplicate hint. When owned is
+// false the slices are borrowed and copied before the store takes them, so
+// callers may recycle their buffers immediately.
+func (s *Server) storeUpload(id string, image, params []byte, key string, owned bool) BatchResult {
+	if len(image) == 0 {
+		return BatchResult{Error: "empty image", Status: http.StatusBadRequest}
 	}
-	if res, stored := s.storedAs(id, req.Image, req.Params); stored {
-		writeUploadResult(w, res)
-		return
+	if res, seen := s.keyHit(key, image, params); seen {
+		return res
 	}
-
-	img, err := jpegc.Decode(bytes.NewReader(req.Image))
+	if res, stored := s.storedAs(id, image, params); stored {
+		return res
+	}
+	// Replicas index too: the gateway's scatter-gather search only
+	// degrades gracefully if every shard holding a copy can answer for it.
+	sig, err := signature(image, params)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "not a decodable baseline JPEG: %v", err)
-		return
+		return BatchResult{Error: fmt.Sprintf("not a decodable baseline JPEG: %v", err), Status: http.StatusUnprocessableEntity}
 	}
-	// Replicas index too: the gateway's scatter-gather search only degrades
-	// gracefully if every shard holding a copy can answer for it.
-	sig := searchidx.Compute(img, req.Params)
-	img.Recycle()
-	canonical, err := s.st().Put(id, req.Image, req.Params, key)
+	if len(params) == 0 {
+		params = nil
+	}
+	if !owned {
+		image, params = bytes.Clone(image), bytes.Clone(params)
+	}
+	// Put re-checks the key atomically, so concurrent parts (or retries)
+	// carrying the same key converge on one canonical ID.
+	canonical, err := s.st().Put(id, image, params, key)
 	if err != nil {
 		// A concurrent PUT may have stored the ID between the check and
 		// the write (every Store refuses duplicate IDs). Re-read and apply
 		// the same compare-on-conflict rule instead of failing the retry.
-		res, stored := s.storedAs(id, req.Image, req.Params)
+		res, stored := s.storedAs(id, image, params)
 		if !stored {
 			res = BatchResult{Error: fmt.Sprintf("store: %v", err), Status: http.StatusInternalServerError}
 		}
-		writeUploadResult(w, res)
-		return
+		return res
 	}
-	s.searchIdx().Add(canonical, sig)
-	writeUploadResult(w, BatchResult{ID: canonical})
+	res := BatchResult{ID: canonical}
+	if near, ok := s.indexImage(canonical, sig); ok {
+		res.DuplicateOf = near.ID
+		res.Distance = near.Distance
+	}
+	return res
 }
 
 // storedAs applies the compare-on-conflict rule to an upload that resolves

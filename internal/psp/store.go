@@ -1,16 +1,16 @@
 package psp
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
-	"time"
+
+	"puppies/internal/blobstore"
 )
 
 // Store abstracts where the PSP keeps uploaded records. Two implementations
 // exist: MemStore (this file, ephemeral) and blobstore.Store (crash-safe on
-// disk); both are structural matches for this interface so the server never
-// imports the storage package.
+// disk); both are structural matches for this interface, and both keep
+// their idempotency keys in a blobstore.KeyIndex.
 //
 // Contract: Put either persists (id, jpeg, params) and returns id, or — when
 // key is non-empty and already assigned — returns the original id without
@@ -27,36 +27,29 @@ type Store interface {
 	Len() int
 }
 
-// Idempotency-index bounds for MemStore. A long-running server must not
-// grow the key index without limit: entries are evicted least-recently-used
-// beyond MaxKeys and lazily expired after KeyTTL. An evicted or expired key
-// falls back to normal upload semantics — the retry stores a fresh copy
-// under a new ID, which wastes a little space but never loses data.
-const (
-	DefaultMaxKeys = 1 << 16
-	DefaultKeyTTL  = 24 * time.Hour
-)
+// DefaultMaxKeys caps MemStore's idempotency-key index, as it caps the
+// blob store's. Beyond the cap the oldest key is evicted.
+const DefaultMaxKeys = blobstore.DefaultMaxKeys
 
 // MemStore is the ephemeral in-memory Store (the original map-based PSP
 // storage). It is safe for concurrent use.
 type MemStore struct {
 	mu      sync.Mutex
 	entries map[string]*entry
-	keys    *keyIndex
+	keys    blobstore.KeyIndex
 }
 
-// NewMemStore returns an empty store with default idempotency bounds.
+// NewMemStore returns an empty store with the default key-index cap.
 func NewMemStore() *MemStore {
-	return NewMemStoreBounded(DefaultMaxKeys, DefaultKeyTTL, nil)
+	return NewMemStoreBounded(DefaultMaxKeys)
 }
 
-// NewMemStoreBounded configures the idempotency-index cap and TTL. maxKeys
-// <= 0 disables the index; ttl <= 0 disables expiry; now is stubbed in
-// tests (nil means time.Now).
-func NewMemStoreBounded(maxKeys int, ttl time.Duration, now func() time.Time) *MemStore {
+// NewMemStoreBounded caps the idempotency-key index at maxKeys; maxKeys <= 0
+// disables it.
+func NewMemStoreBounded(maxKeys int) *MemStore {
 	return &MemStore{
 		entries: make(map[string]*entry),
-		keys:    newKeyIndex(maxKeys, ttl, now),
+		keys:    blobstore.NewKeyIndex(maxKeys),
 	}
 }
 
@@ -64,18 +57,14 @@ func NewMemStoreBounded(maxKeys int, ttl time.Duration, now func() time.Time) *M
 func (m *MemStore) Put(id string, jpeg, params []byte, key string) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if key != "" {
-		if prev, ok := m.keys.get(key); ok {
-			return prev, nil
-		}
+	if prev, ok := m.keys.Get(key); ok {
+		return prev, nil
 	}
 	if _, ok := m.entries[id]; ok {
 		return "", fmt.Errorf("psp: id %q already stored", id)
 	}
 	m.entries[id] = &entry{jpeg: jpeg, params: params}
-	if key != "" {
-		m.keys.put(key, id)
-	}
+	m.keys.Add(key, id)
 	return id, nil
 }
 
@@ -94,7 +83,7 @@ func (m *MemStore) Get(id string) (jpeg, params []byte, ok bool, err error) {
 func (m *MemStore) IDForKey(key string) (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.keys.get(key)
+	return m.keys.Get(key)
 }
 
 // IDs implements Store.
@@ -119,71 +108,5 @@ func (m *MemStore) Len() int {
 func (m *MemStore) KeyCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.keys.len()
+	return m.keys.Len()
 }
-
-// keyIndex is a TTL + LRU bounded string map. Callers provide locking.
-type keyIndex struct {
-	maxKeys int
-	ttl     time.Duration
-	now     func() time.Time
-
-	byKey map[string]*list.Element
-	order *list.List // front = most recently used
-}
-
-type keyEntry struct {
-	key, id string
-	stamp   time.Time
-}
-
-func newKeyIndex(maxKeys int, ttl time.Duration, now func() time.Time) *keyIndex {
-	if now == nil {
-		now = time.Now
-	}
-	return &keyIndex{
-		maxKeys: maxKeys,
-		ttl:     ttl,
-		now:     now,
-		byKey:   make(map[string]*list.Element),
-		order:   list.New(),
-	}
-}
-
-func (k *keyIndex) get(key string) (string, bool) {
-	el, ok := k.byKey[key]
-	if !ok {
-		return "", false
-	}
-	ke := el.Value.(*keyEntry)
-	if k.ttl > 0 && k.now().Sub(ke.stamp) > k.ttl {
-		k.order.Remove(el)
-		delete(k.byKey, key)
-		return "", false
-	}
-	k.order.MoveToFront(el)
-	return ke.id, true
-}
-
-func (k *keyIndex) put(key, id string) {
-	if k.maxKeys <= 0 {
-		return
-	}
-	if el, ok := k.byKey[key]; ok {
-		el.Value.(*keyEntry).id = id
-		el.Value.(*keyEntry).stamp = k.now()
-		k.order.MoveToFront(el)
-		return
-	}
-	k.byKey[key] = k.order.PushFront(&keyEntry{key: key, id: id, stamp: k.now()})
-	for len(k.byKey) > k.maxKeys {
-		oldest := k.order.Back()
-		if oldest == nil {
-			break
-		}
-		k.order.Remove(oldest)
-		delete(k.byKey, oldest.Value.(*keyEntry).key)
-	}
-}
-
-func (k *keyIndex) len() int { return len(k.byKey) }

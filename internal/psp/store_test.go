@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"puppies/internal/blobstore"
 	"puppies/internal/core"
@@ -60,24 +59,27 @@ func TestStoresRefuseDuplicateID(t *testing.T) {
 }
 
 func TestMemStoreKeyIndexLRUCap(t *testing.T) {
-	m := NewMemStoreBounded(3, 0, nil)
+	m := NewMemStoreBounded(3)
 	for i := 0; i < 3; i++ {
 		if _, err := m.Put(fmt.Sprintf("id%d", i), []byte{1}, nil, fmt.Sprintf("k%d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Touch k0 so it becomes most-recently-used; k1 is now the LRU victim.
+	// A lookup does not refresh a key: eviction is oldest-first, the blob
+	// store's rule, so k0 is the victim even though it was just read.
 	if _, ok := m.IDForKey("k0"); !ok {
 		t.Fatal("k0 missing")
 	}
 	if _, err := m.Put("id3", []byte{1}, nil, "k3"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.IDForKey("k1"); ok {
-		t.Error("k1 survived past the cap (LRU not honored)")
+	if _, ok := m.IDForKey("k0"); ok {
+		t.Error("oldest key k0 survived past the cap")
 	}
-	if _, ok := m.IDForKey("k0"); !ok {
-		t.Error("recently used k0 evicted")
+	for _, k := range []string{"k1", "k2", "k3"} {
+		if _, ok := m.IDForKey(k); !ok {
+			t.Errorf("newer key %s evicted", k)
+		}
 	}
 	if got := m.KeyCount(); got != 3 {
 		t.Errorf("KeyCount = %d, want 3", got)
@@ -88,30 +90,8 @@ func TestMemStoreKeyIndexLRUCap(t *testing.T) {
 	}
 }
 
-func TestMemStoreKeyTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	m := NewMemStoreBounded(100, time.Minute, clock)
-	if _, err := m.Put("a", []byte{1}, nil, "key"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.IDForKey("key"); !ok {
-		t.Fatal("fresh key missing")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := m.IDForKey("key"); ok {
-		t.Fatal("expired key still resolves")
-	}
-	// Expired key falls back to a normal store: the image is duplicated,
-	// never lost.
-	id, err := m.Put("b", []byte{2}, nil, "key")
-	if err != nil || id != "b" {
-		t.Fatalf("post-expiry Put = %q, %v", id, err)
-	}
-}
-
 func TestMemStoreZeroCapDisablesIndex(t *testing.T) {
-	m := NewMemStoreBounded(0, 0, nil)
+	m := NewMemStoreBounded(0)
 	if _, err := m.Put("a", []byte{1}, nil, "key"); err != nil {
 		t.Fatal(err)
 	}

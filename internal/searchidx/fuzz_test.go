@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzSignature exercises the signature codec and computation against
-// arbitrary input: journal lines must round-trip or be rejected (never
+// arbitrary input: journal bodies must round-trip or be rejected (never
 // panic, never alias), and Compute must be total and deterministic over
 // arbitrary coefficient content and arbitrary params documents.
 func FuzzSignature(f *testing.F) {
@@ -20,17 +20,14 @@ func FuzzSignature(f *testing.F) {
 	for i := range sig {
 		sig[i] = byte(i * 4)
 	}
-	f.Add([]byte(journalLine("some-id", sig)), []byte(`{}`))
+	f.Add([]byte(journalBody("some-id", sig)), []byte(`{}`))
 	f.Fuzz(func(t *testing.T, line, params []byte) {
-		// Codec: parse arbitrary bytes as a journal line; an accepted line
+		// Codec: parse arbitrary bytes as a journal body; an accepted body
 		// must re-encode to the identical text.
 		text := string(line)
-		if n := len(text); n > 0 && text[n-1] == '\n' {
-			text = text[:n-1]
-		}
-		if id, got, ok := parseJournalLine(text); ok {
-			if re := journalLine(id, got); re != text+"\n" {
-				t.Fatalf("journal line not canonical:\n in %q\nout %q", text, re)
+		if id, got, ok := parseJournalBody(text); ok {
+			if re := journalBody(id, got); re != text {
+				t.Fatalf("journal body not canonical:\n in %q\nout %q", text, re)
 			}
 		}
 		// Computation: build a small coefficient image from the fuzz bytes

@@ -1,13 +1,11 @@
 package searchidx
 
 import (
-	"bufio"
 	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -18,12 +16,16 @@ import (
 
 // Persistence: the index snapshots into a single blobstore-envelope file
 // (magic, header CRC32C, payload CRC32C — the same self-verifying framing
-// the durable image store uses) plus a line-oriented add journal for the
-// increments between snapshots. Boot loads the snapshot, replays the
-// journal's intact prefix (a torn tail from a crash is dropped, exactly
-// like the blob store's journal), and re-attaches the journal for future
-// adds. Every compactEvery journaled adds the journal is folded into a
-// fresh snapshot written atomically (temp + fsync + rename + dir sync).
+// the durable image store uses) plus an add journal for the increments
+// between snapshots, in the blob store's journal line codec
+// (blobstore.Log) with bodies "id base64(sig)". Boot loads the snapshot,
+// replays the journal's intact prefix (a torn tail from a crash is
+// dropped, exactly like the blob store's journal), folds any replayed adds
+// into a fresh snapshot, and restarts the journal empty, so new adds never
+// land after a torn line. Every compactEvery journaled adds the journal is
+// folded the same way. Snapshots are written with blobstore.WriteDurable
+// (temp + fsync + rename + dir sync), and every file operation goes
+// through a blobstore.FS.
 
 const (
 	snapshotFile = "searchidx.snap"
@@ -49,8 +51,6 @@ const (
 // validation after the envelope checksums passed.
 var ErrSnapshotCorrupt = errors.New("searchidx: corrupt snapshot")
 
-var snapCRC = crc32.MakeTable(crc32.Castagnoli)
-
 type snapEntry struct {
 	id  string
 	sig Signature
@@ -60,56 +60,95 @@ type snapEntry struct {
 // journaled adds since the last snapshot.
 type persister struct {
 	mu      sync.Mutex
+	fsys    blobstore.FS
 	dir     string
-	f       *os.File
+	f       *blobstore.Log
 	pending int
-	ix      *Index
+	// err is the first persistence failure since the last snapshot. After
+	// a failed append the journal may end in a torn line, and replay would
+	// drop every line after it, so adds stay in memory only until the next
+	// snapshot.
+	err error
+	ix  *Index
 }
 
-// OpenDir loads (or initializes) a persistent index rooted at dir: the
-// snapshot is decoded, the journal's intact prefix replayed, and the
-// journal attached so subsequent Adds survive a crash. A missing dir or
-// files mean an empty index; a corrupt snapshot is an error (the caller
-// decides whether to rebuild).
-func OpenDir(dir string) (*Index, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// OpenDir loads (or initializes) a persistent index rooted at dir on fsys
+// (nil means the OS filesystem): the snapshot is decoded, the journal's
+// intact prefix replayed, and a fresh journal attached so subsequent Adds
+// survive a crash. Entries whose ID keep rejects are dropped (nil keeps
+// all): the caller passes the IDs its record store still holds, so a
+// record quarantined or lost since the snapshot is never answered. A
+// missing dir or files mean an empty index; a corrupt snapshot is an error
+// (the caller decides whether to rebuild).
+func OpenDir(fsys blobstore.FS, dir string, keep func(id string) bool) (*Index, error) {
+	if fsys == nil {
+		fsys = blobstore.OSFS{}
+	}
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("searchidx: create dir: %w", err)
 	}
-	ix := New()
+	var entries []snapEntry
 	snapPath := filepath.Join(dir, snapshotFile)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		entries, derr := decodeSnapshot(data)
-		if derr != nil {
-			return nil, fmt.Errorf("searchidx: snapshot %s: %w", snapPath, derr)
+	data, err := fsys.ReadFile(snapPath)
+	switch {
+	case err == nil:
+		if entries, err = decodeSnapshot(data); err != nil {
+			return nil, fmt.Errorf("searchidx: snapshot %s: %w", snapPath, err)
 		}
-		ids := make([]string, len(entries))
-		sigs := make([]Signature, len(entries))
-		for i, e := range entries {
-			ids[i] = e.id
-			sigs[i] = e.sig
-		}
-		ix.AddBatch(ids, sigs)
-	} else if !os.IsNotExist(err) {
+	case !errors.Is(err, fs.ErrNotExist):
 		return nil, fmt.Errorf("searchidx: read snapshot: %w", err)
 	}
-	replayed := replayJournal(ix, filepath.Join(dir, journalFile))
-	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	bodies, err := blobstore.ReadLog(fsys, filepath.Join(dir, journalFile))
 	if err != nil {
-		return nil, fmt.Errorf("searchidx: open journal: %w", err)
+		return nil, err
 	}
-	ix.persist = &persister{dir: dir, f: f, pending: replayed, ix: ix}
+	for _, body := range bodies {
+		id, sig, ok := parseJournalBody(body)
+		if !ok {
+			break
+		}
+		entries = append(entries, snapEntry{id: id, sig: sig})
+	}
+	ids := make([]string, 0, len(entries))
+	sigs := make([]Signature, 0, len(entries))
+	for _, e := range entries {
+		if keep == nil || keep(e.id) {
+			ids = append(ids, e.id)
+			sigs = append(sigs, e.sig)
+		}
+	}
+	// AddBatch keeps the order within each segment, so a journaled add
+	// replaces the snapshot's signature for the same ID, as replay did.
+	ix := New()
+	ix.AddBatch(ids, sigs)
+	// Restarting the journal discards its torn tail, if any; journaled
+	// adds and dropped entries are folded into a snapshot first.
+	p := &persister{fsys: fsys, dir: dir, ix: ix}
+	if len(bodies) > 0 || len(ids) < len(entries) {
+		err = p.compactLocked()
+	} else {
+		err = p.resetJournal()
+	}
+	if err != nil {
+		return nil, err
+	}
+	ix.persist = p
 	return ix, nil
 }
 
-// Save forces a snapshot of the current contents and truncates the journal.
-// No-op (nil) on a purely in-memory index.
+// Save forces a snapshot of the current contents and truncates the
+// journal. It also reports the first persistence failure since the last
+// snapshot (a failed journal append or automatic compaction), which this
+// snapshot repairs when it succeeds. No-op (nil) on a purely in-memory
+// index.
 func (ix *Index) Save() error {
 	if ix.persist == nil {
 		return nil
 	}
 	ix.persist.mu.Lock()
 	defer ix.persist.mu.Unlock()
-	return ix.persist.compactLocked()
+	earlier := ix.persist.err
+	return errors.Join(earlier, ix.persist.compactLocked())
 }
 
 // Close releases the journal handle after a final snapshot.
@@ -117,15 +156,12 @@ func (ix *Index) Close() error {
 	if ix.persist == nil {
 		return nil
 	}
+	err := ix.Save()
 	ix.persist.mu.Lock()
 	defer ix.persist.mu.Unlock()
-	err := ix.persist.compactLocked()
 	cerr := ix.persist.f.Close()
 	ix.persist = nil
-	if err != nil {
-		return err
-	}
-	return cerr
+	return errors.Join(err, cerr)
 }
 
 // record journals one add and compacts when the journal has grown enough.
@@ -133,63 +169,47 @@ func (ix *Index) Close() error {
 func (p *persister) record(id string, sig Signature) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	line := journalLine(id, sig)
-	if _, err := p.f.WriteString(line); err != nil {
-		return // journal is best-effort between snapshots
+	if p.err == nil {
+		p.err = p.f.Append(journalBody(id, sig), false)
 	}
 	p.pending++
 	if p.pending >= compactEvery {
-		_ = p.compactLocked()
+		if err := p.compactLocked(); err != nil && p.err == nil {
+			p.err = err
+		}
 	}
 }
 
-// compactLocked writes a full snapshot atomically and truncates the
-// journal. Caller holds p.mu.
+// compactLocked writes a full snapshot durably, then restarts the journal
+// empty and clears any earlier failure. If the snapshot write fails, the
+// old snapshot and journal stay in place and still load. Caller holds p.mu
+// (or owns p outright, while opening).
 func (p *persister) compactLocked() error {
 	data, err := encodeSnapshot(p.ix.entries())
 	if err != nil {
 		return err
 	}
 	path := filepath.Join(p.dir, snapshotFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("searchidx: snapshot temp: %w", err)
+	if err := blobstore.WriteDurable(p.fsys, path+".tmp", path, data); err != nil {
+		return fmt.Errorf("searchidx: snapshot: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("searchidx: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("searchidx: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("searchidx: snapshot rename: %w", err)
-	}
-	syncDir(p.dir)
-	if err := p.f.Truncate(0); err != nil {
-		return fmt.Errorf("searchidx: truncate journal: %w", err)
-	}
-	if _, err := p.f.Seek(0, 0); err != nil {
-		return err
-	}
-	p.pending = 0
-	return nil
+	return p.resetJournal()
 }
 
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+// resetJournal swaps in a freshly truncated journal. The old handle is
+// closed only once the new one is open, so a failure leaves the journal
+// appendable (its lines are all in the snapshot; replaying them again is
+// harmless).
+func (p *persister) resetJournal() error {
+	f, err := blobstore.CreateLog(p.fsys, filepath.Join(p.dir, journalFile))
+	if err != nil {
+		return fmt.Errorf("searchidx: %w", err)
 	}
+	if p.f != nil {
+		_ = p.f.Close() // every line it holds is in the snapshot
+	}
+	p.f, p.pending, p.err = f, 0, nil
+	return nil
 }
 
 // entries snapshots the full index contents, sorted by ID so snapshots of
@@ -280,56 +300,28 @@ func decodeSnapshot(data []byte) ([]snapEntry, error) {
 	return out, nil
 }
 
-// journalLine formats one add: CRC32C over "id sig", then the fields.
-// IDs never contain spaces (the server validates them), so the line is
-// splittable; the CRC catches torn or bit-flipped tails on replay.
-func journalLine(id string, sig Signature) string {
-	b64 := base64.RawStdEncoding.EncodeToString(sig[:])
-	sum := crc32.Checksum([]byte(id+" "+b64), snapCRC)
-	return fmt.Sprintf("%08x %s %s\n", sum, id, b64)
+// journalBody formats one add as a journal body: "id base64(sig)". IDs
+// never contain spaces (the server validates them), so the body splits
+// back unambiguously.
+func journalBody(id string, sig Signature) string {
+	return id + " " + sigEncoding.EncodeToString(sig[:])
 }
 
-// parseJournalLine inverts journalLine, rejecting any damage.
-func parseJournalLine(line string) (string, Signature, bool) {
+// sigEncoding is unpadded base64 that rejects nonzero trailing bits, so
+// every accepted body is the one journalBody writes.
+var sigEncoding = base64.RawStdEncoding.Strict()
+
+// parseJournalBody inverts journalBody, rejecting any damage.
+func parseJournalBody(body string) (string, Signature, bool) {
 	var sig Signature
-	parts := strings.Split(line, " ")
-	if len(parts) != 3 || len(parts[0]) != 8 {
+	id, b64, ok := strings.Cut(body, " ")
+	if !ok || id == "" {
 		return "", sig, false
 	}
-	var sum uint32
-	if _, err := fmt.Sscanf(parts[0], "%08x", &sum); err != nil {
-		return "", sig, false
-	}
-	if crc32.Checksum([]byte(parts[1]+" "+parts[2]), snapCRC) != sum {
-		return "", sig, false
-	}
-	raw, err := base64.RawStdEncoding.DecodeString(parts[2])
-	if err != nil || len(raw) != SigBytes || len(parts[1]) == 0 {
+	raw, err := sigEncoding.DecodeString(b64)
+	if err != nil || len(raw) != SigBytes {
 		return "", sig, false
 	}
 	copy(sig[:], raw)
-	return parts[1], sig, true
-}
-
-// replayJournal applies the journal's intact prefix and reports how many
-// entries it held. A corrupt line ends replay: everything after a torn
-// write is untrusted, mirroring the blob store's recovery rule.
-func replayJournal(ix *Index, path string) int {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	n := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 4096), 1<<20)
-	for sc.Scan() {
-		id, sig, ok := parseJournalLine(sc.Text())
-		if !ok {
-			break
-		}
-		ix.add(segIdx(id), id, sig)
-		n++
-	}
-	return n
+	return id, sig, true
 }
