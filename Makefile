@@ -71,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlan$$' -fuzztime $(FUZZTIME) ./internal/transform
 	$(GO) test -run '^$$' -fuzz '^FuzzSignature$$' -fuzztime $(FUZZTIME) ./internal/searchidx
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexSnapshot$$' -fuzztime $(FUZZTIME) ./internal/searchidx
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRetryAfter$$' -fuzztime $(FUZZTIME) ./internal/psp
 
 # bench runs every benchmark (paper tables/figures plus the kernel and
 # pipeline micro-benchmarks) and prints the results. The performance bounds

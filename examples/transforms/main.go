@@ -55,15 +55,11 @@ func main() {
 	}
 
 	// Upload through the HTTP API.
-	img, err := jpegc.Decode(bytes.NewReader(prot.JPEG))
+	id, err := client.Upload(ctx, prot.JPEG, prot.Params)
 	if err != nil {
 		log.Fatal(err)
 	}
 	pd, err := core.DecodePublicData(prot.Params)
-	if err != nil {
-		log.Fatal(err)
-	}
-	id, err := client.Upload(ctx, img, pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
 	if err != nil {
 		log.Fatal(err)
 	}

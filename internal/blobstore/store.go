@@ -229,20 +229,23 @@ func (s *Store) readJournal() (map[string]bool, error) {
 	return pending, nil
 }
 
-// validID rejects ids that cannot serve as safe file names.
-func validID(id string) error {
-	if id == "" || len(id) > maxIDLen {
-		return fmt.Errorf("blobstore: id length %d out of range", len(id))
+// ValidID is the one image-ID rule: 1 to 100 bytes of letters, digits,
+// '-', '_' and '.', not starting with a dot, so every ID is a safe file
+// name. PUT /v1/images/{id} and Store.Put both check it; minted IDs are 24
+// hex characters.
+func ValidID(id string) error {
+	if id == "" || len(id) > 100 {
+		return fmt.Errorf("id length %d out of range [1,100]", len(id))
 	}
 	for _, r := range id {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
 		default:
-			return fmt.Errorf("blobstore: id %q contains unsafe character %q", id, r)
+			return fmt.Errorf("id contains unsafe character %q", r)
 		}
 	}
 	if strings.HasPrefix(id, ".") {
-		return fmt.Errorf("blobstore: id %q may not start with a dot", id)
+		return errors.New("id may not start with a dot")
 	}
 	return nil
 }
@@ -253,8 +256,8 @@ func validID(id string) error {
 // an error the record is not acknowledged: a crash right now leaves at most
 // staged garbage that the next Open quarantines.
 func (s *Store) Put(id string, jpeg, params []byte, key string) (string, error) {
-	if err := validID(id); err != nil {
-		return "", err
+	if err := ValidID(id); err != nil {
+		return "", fmt.Errorf("blobstore: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -110,4 +111,59 @@ func TestGatewayForwardsEscapedIDs(t *testing.T) {
 		}
 	}
 	requireUncharged(t, gw, shardURL)
+}
+
+// TestGatewayOversizedShardAnswerIsDown: a shard answer one byte over
+// MaxBody is Down. It charges that shard's breaker and fails over to the
+// next replica, and no truncated bytes reach the client, not even when
+// every replica answers oversized.
+func TestGatewayOversizedShardAnswerIsDown(t *testing.T) {
+	const maxBody = 1024
+	good := bytes.Repeat([]byte("g"), maxBody)
+	oversized := bytes.Repeat([]byte("x"), maxBody+1)
+	var bigURL atomic.Value // the shard answering oversized; "*" means every shard
+	bigURL.Store("")
+	var urls []string
+	for i := 0; i < 2; i++ {
+		var self string
+		stub := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// No ETag, so the gateway runs no read verification.
+			if big := bigURL.Load().(string); big == "*" || big == self {
+				_, _ = w.Write(oversized)
+				return
+			}
+			_, _ = w.Write(good)
+		}))
+		self = "http://" + stub.Listener.Addr().String()
+		stub.Start()
+		t.Cleanup(stub.Close)
+		urls = append(urls, stub.URL)
+	}
+	gw, err := New(Config{Shards: urls, Replicas: 2, WriteQuorum: 1, MaxBody: maxBody})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(gw.Handler())
+	t.Cleanup(srv.Close)
+
+	order := gw.ReplicaOrder("abc")
+	bigURL.Store(order[0])
+	status, _, body := getBytes(t, srv.URL+"/v1/images/abc", nil)
+	if status != http.StatusOK || !bytes.Equal(body, good) {
+		t.Fatalf("GET with an oversized first replica: HTTP %d, %d bytes, want 200 with the second replica's %d", status, len(body), len(good))
+	}
+	st := gw.Stats()
+	if big := st.Shards[order[0]]; big.Requests != 1 || big.Failures != 1 {
+		t.Errorf("oversized shard: %d requests, %d failures, want 1 and 1", big.Requests, big.Failures)
+	}
+	if st.Failovers != 1 {
+		t.Errorf("failovers = %d, want 1", st.Failovers)
+	}
+	requireUncharged(t, gw, order[1])
+
+	bigURL.Store("*")
+	status, _, body = getBytes(t, srv.URL+"/v1/images/abc", nil)
+	if status != http.StatusServiceUnavailable || bytes.Contains(body, oversized[:64]) {
+		t.Fatalf("GET with every replica oversized: HTTP %d, body %.80q, want a 503 without shard bytes", status, body)
+	}
 }

@@ -292,42 +292,32 @@ func (g *Gateway) otherMembers(key string) []*shard {
 	return out
 }
 
-// shardResp is one fully buffered shard response.
-type shardResp struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-// retryAfter is the shard's Retry-After hint; zero without a response.
-func (r *shardResp) retryAfter() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return psp.ParseRetryAfter(r.header)
-}
-
 // answer is one shard's outcome, collected from a fan-out goroutine.
 type answer struct {
 	sh   *shard
 	o    psp.Outcome
-	resp *shardResp
+	resp *psp.Reply
 }
 
-// exchange is the gateway's one shard call. It sends a request bounded by
-// ShardTimeout, buffers the response (a body over MaxBody is Down, never
-// truncated bytes) and reads it as exactly one psp.Outcome; resp is nil
-// unless the shard answered. exchange alone feeds the shard's counters and
-// breaker, from one table: Down is a failure, Abandoned counts nothing,
-// and every other outcome is a success. A shard that sheds, 404s or
-// reports a damaged copy is alive, and ejecting it would only push its
-// load onto the others. Shed also counts an overload.
-func (g *Gateway) exchange(ctx context.Context, sh *shard, method, pathQuery string, body []byte, hdr http.Header) (psp.Outcome, *shardResp) {
-	resp, err := g.send(ctx, sh, method, pathQuery, body, hdr)
+// exchange is the gateway's one shard call. It runs psp.Attempt, the
+// attempt psp.Client makes, bounded by ShardTimeout and MaxBody (a larger
+// answer is Down, never truncated bytes), and reads the answer as exactly
+// one psp.Outcome; resp is nil unless the shard answered. exchange alone
+// feeds the shard's counters and breaker, from one table: Down is a
+// failure, Abandoned counts nothing, and every other outcome is a success.
+// A shard that sheds, 404s or reports a damaged copy is alive, and
+// ejecting it would only push its load onto the others. Shed also counts
+// an overload.
+func (g *Gateway) exchange(ctx context.Context, sh *shard, method, pathQuery string, body []byte, hdr http.Header) (psp.Outcome, *psp.Reply) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	resp, err := psp.Attempt(ctx, g.client, g.cfg.ShardTimeout, g.cfg.MaxBody, method, sh.url+pathQuery, rd, hdr)
 	o := psp.Down
 	switch {
 	case err == nil:
-		o = psp.StatusOutcome(resp.status, resp.header.Get(psp.ErrorClassHeader))
+		o = psp.StatusOutcome(resp.Status, resp.Header.Get(psp.ErrorClassHeader))
 	case ctx.Err() != nil:
 		return psp.Abandoned, nil
 	}
@@ -342,37 +332,6 @@ func (g *Gateway) exchange(ctx context.Context, sh *shard, method, pathQuery str
 	}
 	sh.breaker.OnSuccess()
 	return o, resp
-}
-
-// send is exchange's transport half.
-func (g *Gateway) send(ctx context.Context, sh *shard, method, pathQuery string, body []byte, hdr http.Header) (*shardResp, error) {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.ShardTimeout)
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, sh.url+pathQuery, rd)
-	if err != nil {
-		return nil, err
-	}
-	for k, vs := range hdr {
-		req.Header[k] = vs
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	limit := g.cfg.MaxBody
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(respBody)) > limit {
-		return nil, fmt.Errorf("cluster: response from %s exceeds %d bytes", sh.url, limit)
-	}
-	return &shardResp{status: resp.StatusCode, header: resp.Header, body: respBody}, nil
 }
 
 // fanOut runs one exchange per member in parallel and returns the answers
@@ -404,18 +363,18 @@ var passthroughHeaders = []string{
 	psp.ErrorClassHeader,
 }
 
-func writeShardResp(w http.ResponseWriter, resp *shardResp) {
+func writeShardResp(w http.ResponseWriter, resp *psp.Reply) {
 	for _, k := range passthroughHeaders {
-		if v := resp.header.Get(k); v != "" {
+		if v := resp.Header.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
 	}
-	if resp.status != http.StatusNotModified {
-		w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
+	if resp.Status != http.StatusNotModified {
+		w.Header().Set("Content-Length", strconv.Itoa(len(resp.Body)))
 	}
-	w.WriteHeader(resp.status)
-	if resp.status != http.StatusNotModified {
-		_, _ = w.Write(resp.body)
+	w.WriteHeader(resp.Status)
+	if resp.Status != http.StatusNotModified {
+		_, _ = w.Write(resp.Body)
 	}
 }
 
@@ -601,7 +560,7 @@ type uploadAck struct {
 	// repairable marks failures worth re-replicating later; a
 	// deterministic rejection (Missing, Refused) is not.
 	repairable bool
-	resp       *shardResp
+	resp       *psp.Reply
 }
 
 // putReplica stores one replica of an upload under id.
@@ -610,7 +569,7 @@ func (g *Gateway) putReplica(sh *shard, id string, body []byte, hdr http.Header)
 	switch o {
 	case psp.Served:
 		var ur psp.UploadResponse
-		if json.Unmarshal(resp.body, &ur) == nil && ur.ID == id {
+		if json.Unmarshal(resp.Body, &ur) == nil && ur.ID == id {
 			return uploadAck{sh: sh, ok: true}
 		}
 		// The shard acked under a different ID (a pre-existing key
@@ -632,7 +591,7 @@ type uploadOutcome struct {
 	// id is set on quorum success.
 	id string
 	// clientResp passes through a unanimous deterministic shard rejection.
-	clientResp *shardResp
+	clientResp *psp.Reply
 	// unavailable marks a quorum failure; msg and retryAfter shape the 503.
 	unavailable bool
 	retryAfter  time.Duration
@@ -668,7 +627,7 @@ func (g *Gateway) replicateUpload(body []byte, key, contentType string) uploadOu
 	g.uploads.Add(1)
 	ackCount := 0
 	var failed []*shard
-	var clientErr *shardResp
+	var clientErr *psp.Reply
 	var retryAfter time.Duration
 	for i := 0; i < len(replicas); i++ {
 		a := <-acks
@@ -677,7 +636,7 @@ func (g *Gateway) replicateUpload(body []byte, key, contentType string) uploadOu
 			ackCount++
 		case a.repairable:
 			failed = append(failed, a.sh)
-			retryAfter = max(retryAfter, a.resp.retryAfter())
+			retryAfter = max(retryAfter, a.resp.RetryAfter())
 		default:
 			clientErr = a.resp
 		}
@@ -763,7 +722,7 @@ func (g *Gateway) replicateItem(it spine.BatchItem) psp.BatchResult {
 	out := g.replicateUpload(body, key, "application/json")
 	switch {
 	case out.clientResp != nil:
-		return psp.BatchResult{Error: string(bytes.TrimSpace(out.clientResp.body)), Status: out.clientResp.status}
+		return psp.BatchResult{Error: string(bytes.TrimSpace(out.clientResp.Body)), Status: out.clientResp.Status}
 	case out.unavailable:
 		return psp.BatchResult{Error: out.msg, Status: http.StatusServiceUnavailable}
 	}
@@ -807,7 +766,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 	defer hedge.Stop()
 
 	var missing, corrupt []*shard
-	var corruptResp *shardResp
+	var corruptResp *psp.Reply
 	var retryAfter time.Duration
 	for outstanding > 0 {
 		select {
@@ -830,7 +789,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 				corrupt = append(corrupt, res.sh)
 				corruptResp = res.resp
 			case psp.Shed, psp.Down:
-				retryAfter = max(retryAfter, res.resp.retryAfter())
+				retryAfter = max(retryAfter, res.resp.RetryAfter())
 			}
 			if next < len(order) {
 				g.failovers.Add(1)
@@ -872,7 +831,7 @@ func (g *Gateway) handleProxy(w http.ResponseWriter, r *http.Request) {
 // asynchronous follow-ups: repair of replicas observed missing/corrupt
 // during failover and, for raw-image GETs, a one-shot quorum verification
 // of the remaining replicas against the served ETag.
-func (g *Gateway) serveProxied(w http.ResponseWriter, r *http.Request, id string, from *shard, resp *shardResp, missing, corrupt []*shard) {
+func (g *Gateway) serveProxied(w http.ResponseWriter, r *http.Request, id string, from *shard, resp *psp.Reply, missing, corrupt []*shard) {
 	for _, sh := range missing {
 		g.goRepair(id, sh)
 	}
@@ -880,7 +839,7 @@ func (g *Gateway) serveProxied(w http.ResponseWriter, r *http.Request, id string
 		g.goRepair(id, sh)
 	}
 	if r.URL.Path == "/v1/images/"+id {
-		if etag := resp.header.Get("ETag"); etag != "" && g.markVerified(id) {
+		if etag := resp.Header.Get("ETag"); etag != "" && g.markVerified(id) {
 			go g.verifyReplicas(id, etag, from)
 		}
 	}
@@ -924,7 +883,7 @@ func (g *Gateway) verifyReplicas(id, etag string, served *shard) {
 		o, resp := g.exchange(ctx, sh, http.MethodGet, "/v1/images/"+id, nil, hdr)
 		switch o {
 		case psp.Served:
-			if resp.header.Get("ETag") != etag {
+			if resp.Header.Get("ETag") != etag {
 				g.divergences.Add(1)
 			}
 		case psp.Missing:
@@ -951,7 +910,7 @@ func (g *Gateway) mergedIDs(ctx context.Context) (ids []string, reachable int) {
 	set := make(map[string]bool)
 	for _, res := range g.fanOut(ctx, g.members(), http.MethodGet, "/v1/images", nil, nil) {
 		var lr psp.ListResponse
-		if res.o != psp.Served || json.Unmarshal(res.resp.body, &lr) != nil {
+		if res.o != psp.Served || json.Unmarshal(res.resp.Body, &lr) != nil {
 			continue
 		}
 		reachable++

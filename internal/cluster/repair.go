@@ -58,10 +58,10 @@ func (g *Gateway) repairSync(ctx context.Context, id string, target *shard) bool
 			continue
 		}
 		var params json.RawMessage
-		if trimmed := bytes.TrimSpace(presp.body); !bytes.Equal(trimmed, []byte("null")) && len(trimmed) > 0 {
-			params = presp.body
+		if trimmed := bytes.TrimSpace(presp.Body); !bytes.Equal(trimmed, []byte("null")) && len(trimmed) > 0 {
+			params = presp.Body
 		}
-		body, err := json.Marshal(psp.UploadRequest{Image: resp.body, Params: params})
+		body, err := json.Marshal(psp.UploadRequest{Image: resp.Body, Params: params})
 		if err != nil {
 			return false
 		}
@@ -72,7 +72,7 @@ func (g *Gateway) repairSync(ctx context.Context, id string, target *shard) bool
 			g.readRepairs.Add(1)
 			target.readRepairs.Add(1)
 			return true
-		case o == psp.Refused && put.status == http.StatusConflict:
+		case o == psp.Refused && put.Status == http.StatusConflict:
 			// Target holds different bytes under this ID. Never overwrite
 			// silently; surface it as a divergence.
 			g.divergences.Add(1)

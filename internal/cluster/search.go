@@ -47,14 +47,14 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	best := make(map[string]uint32)
 	answered, notFound := 0, 0
-	var clientResp *shardResp
+	var clientResp *psp.Reply
 	// exchange applies the per-shard timeout; one slow or partitioned shard
 	// delays the merge at most that long.
 	for _, res := range g.fanOut(r.Context(), members, r.Method, pathQ, body, hdr) {
 		switch res.o {
 		case psp.Served:
 			var sr psp.SearchResponse
-			if json.Unmarshal(res.resp.body, &sr) != nil {
+			if json.Unmarshal(res.resp.Body, &sr) != nil {
 				continue
 			}
 			answered++

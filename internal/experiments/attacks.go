@@ -13,6 +13,7 @@ import (
 	"puppies/internal/p3"
 	"puppies/internal/roi"
 	"puppies/internal/stats"
+	"puppies/internal/transform"
 )
 
 // attackQuality pins the inference-attack experiments to the libjpeg
@@ -472,7 +473,7 @@ func regionPSNR(a, b *imgplane.Image, r core.ROI) float64 {
 	if mse == 0 {
 		return 99
 	}
-	p := 10 * logTen(255*255/mse)
+	p := 10 * math.Log10(255*255/mse)
 	if p > 99 {
 		return 99
 	}
@@ -480,29 +481,15 @@ func regionPSNR(a, b *imgplane.Image, r core.ROI) float64 {
 }
 
 func regionSSIM(a, b *imgplane.Image, r core.ROI) (float64, error) {
-	cropA, err := cropPlane(a.Planes[0], r)
+	cropA, err := transform.CropPlane(a.Planes[0], r.X, r.Y, r.W, r.H)
 	if err != nil {
 		return 0, err
 	}
-	cropB, err := cropPlane(b.Planes[0], r)
+	cropB, err := transform.CropPlane(b.Planes[0], r.X, r.Y, r.W, r.H)
 	if err != nil {
 		return 0, err
 	}
 	return imgplane.SSIM(cropA, cropB)
-}
-
-func cropPlane(p *imgplane.Plane, r core.ROI) (*imgplane.Plane, error) {
-	out := imgplane.NewPlane(r.W, r.H)
-	for y := 0; y < r.H; y++ {
-		for x := 0; x < r.W; x++ {
-			out.Pix[y*r.W+x] = p.At(r.X+x, r.Y+y)
-		}
-	}
-	return out, nil
-}
-
-func logTen(v float64) float64 {
-	return math.Log10(v)
 }
 
 // FaceDetectionResult is the §VI-B.3 face-detection attack outcome.

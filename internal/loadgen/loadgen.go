@@ -167,8 +167,6 @@ type Runner struct {
 	routes map[string]*routeStats
 
 	ids      []string // corpus image IDs, rank 0 = hottest
-	imgs     []*jpegc.Image
-	pd       *core.PublicData
 	rawJPEGs [][]byte
 	rawPD    []byte
 
@@ -291,8 +289,7 @@ func synthImage(rng *rand.Rand, w, h int) (*jpegc.Image, error) {
 func (r *Runner) Setup(ctx context.Context) error {
 	const w, h = 64, 48
 	rng := rand.New(rand.NewSource(r.cfg.Seed))
-	r.pd = &core.PublicData{W: w, H: h, Channels: 3}
-	raw, err := r.pd.Encode()
+	raw, err := (&core.PublicData{W: w, H: h, Channels: 3}).Encode()
 	if err != nil {
 		return err
 	}
@@ -302,18 +299,17 @@ func (r *Runner) Setup(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("loadgen: synth corpus image %d: %w", i, err)
 		}
-		id, err := r.client.Upload(ctx, img, r.pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
+		jpeg, err := encodeJPEG(img)
+		if err != nil {
+			return err
+		}
+		id, err := r.client.Upload(ctx, jpeg, r.rawPD)
 		if err != nil {
 			return fmt.Errorf("loadgen: seed corpus image %d: %w", i, err)
 		}
 		r.ids = append(r.ids, id)
-		if len(r.imgs) < 4 {
-			r.imgs = append(r.imgs, img)
-			raw, err := encodeJPEG(img)
-			if err != nil {
-				return err
-			}
-			r.rawJPEGs = append(r.rawJPEGs, raw)
+		if len(r.rawJPEGs) < 4 {
+			r.rawJPEGs = append(r.rawJPEGs, jpeg)
 		}
 	}
 	r.cfg.Logf("corpus: %d images uploaded", len(r.ids))
@@ -367,8 +363,7 @@ func (r *Runner) runOp(ctx context.Context, route string, rng *rand.Rand, zipf *
 		_, err := r.client.FetchTransformed(ctx, id, thumbSpec)
 		return err
 	case RouteUpload:
-		img := r.imgs[rng.Intn(len(r.imgs))]
-		_, err := r.client.Upload(ctx, img, r.pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
+		_, err := r.client.Upload(ctx, r.rawJPEGs[rng.Intn(len(r.rawJPEGs))], r.rawPD)
 		return err
 	case RouteBatch:
 		items := make([]psp.BatchUpload, 3)

@@ -2,7 +2,6 @@ package psp
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -96,57 +95,40 @@ func (c *Client) UploadBatch(ctx context.Context, items []BatchUpload) ([]BatchR
 	for i := range items {
 		keys[i] = newIdempotencyKey()
 	}
-
-	attempts := c.maxRetries() + 1
-	var lastErr error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			c.statRetries.Add(1)
-			wait := c.backoff(attempt - 1)
-			var se *StatusError
-			if errors.As(lastErr, &se) && se.RetryAfter > 0 {
-				wait = se.RetryAfter
-				c.statRetryAfterHonored.Add(1)
-			}
-			if err := c.sleepCtx(ctx, wait); err != nil {
-				c.statExhausted.Add(1)
-				return nil, fmt.Errorf("psp: giving up after %d attempts: %w (then %v)", attempt-1, lastErr, err)
-			}
-		}
-		results, err := c.uploadBatchOnce(ctx, items, keys)
-		if err == nil {
-			return results, nil
-		}
-		lastErr = err
-		if !errors.Is(err, ErrRetryable) || ctx.Err() != nil {
-			return nil, err
-		}
+	// The boundary comes from multipart.Writer so it stays RFC-compliant
+	// and unpredictable; every attempt streams a fresh body under it.
+	mw := multipart.NewWriter(nil)
+	header := http.Header{"Content-Type": {mw.FormDataContentType()}}
+	raw, err := c.retry(ctx, http.MethodPost, c.BaseURL+"/v1/images:batch", header, func() io.Reader {
+		return streamBatch(items, keys, mw.Boundary())
+	})
+	if err != nil {
+		return nil, err
 	}
-	c.statExhausted.Add(1)
-	return nil, fmt.Errorf("psp: giving up after %d attempts: %w", attempts, lastErr)
+	var br BatchResponse
+	if err := json.Unmarshal(raw, &br); err != nil {
+		return nil, &corruptError{fmt.Errorf("decode batch response: %w", err)}
+	}
+	if len(br.Results) != len(items) {
+		return nil, &corruptError{fmt.Errorf("batch response has %d results for %d items", len(br.Results), len(items))}
+	}
+	return br.Results, nil
 }
 
-// uploadBatchOnce performs one streaming attempt of the whole batch.
-func (c *Client) uploadBatchOnce(ctx context.Context, items []BatchUpload, keys []string) ([]BatchResult, error) {
-	c.statAttempts.Add(1)
-	attemptCtx := ctx
-	var cancel context.CancelFunc
-	if t := c.requestTimeout(); t > 0 {
-		attemptCtx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
+// streamBatch returns the multipart body of one batch attempt, produced by
+// a goroutine while the transport reads it. The goroutine exits once the
+// body is written or the reader is closed (Attempt closes it on every
+// path).
+func streamBatch(items []BatchUpload, keys []string, boundary string) io.Reader {
 	pr, pw := io.Pipe()
 	// The pipe is unbuffered: every Write is a goroutine handoff and becomes
 	// its own chunked-transfer frame. Coalescing through a bufio.Writer turns
 	// a part's header lines plus small bodies into one frame. Part framing is
 	// written by hand against that writer — the format is fixed and tiny, and
 	// multipart.Writer's per-part MIMEHeader maps and sorted-key walks are
-	// pure overhead on this hot path (the boundary still comes from
-	// multipart.Writer so it stays RFC-compliant and unpredictable).
+	// pure overhead on this hot path.
 	bw := batchWriterPool.Get().(*bufio.Writer)
 	bw.Reset(pw)
-	mw := multipart.NewWriter(bw)
-	boundary := mw.Boundary()
 	go func() {
 		defer func() {
 			bw.Reset(nil)
@@ -184,48 +166,5 @@ func (c *Client) uploadBatchOnce(ctx context.Context, items []BatchUpload, keys 
 		}
 		_ = pw.CloseWithError(bw.Flush())
 	}()
-
-	req, err := http.NewRequestWithContext(attemptCtx, http.MethodPost, c.BaseURL+"/v1/images:batch", pr)
-	if err != nil {
-		_ = pr.Close()
-		return nil, err
-	}
-	req.Header.Set("Content-Type", mw.FormDataContentType())
-	resp, err := c.http().Do(req)
-	if err != nil {
-		_ = pr.Close()
-		timedOut := attemptCtx.Err() != nil && ctx.Err() == nil
-		return nil, classifyTransport(err, timedOut)
-	}
-	defer resp.Body.Close()
-	limit := c.maxResponseBytes()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		timedOut := attemptCtx.Err() != nil && ctx.Err() == nil
-		return nil, classifyTransport(err, timedOut)
-	}
-	if int64(len(respBody)) > limit {
-		return nil, fmt.Errorf("%w: response exceeds %d bytes", ErrTooLarge, limit)
-	}
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusTooManyRequests {
-			c.statOverloaded.Add(1)
-		}
-		return nil, &StatusError{
-			Method:     http.MethodPost,
-			Path:       req.URL.Path,
-			Code:       resp.StatusCode,
-			Body:       string(bytes.TrimSpace(respBody)),
-			RetryAfter: ParseRetryAfter(resp.Header),
-			Class:      resp.Header.Get(errorClassHeader),
-		}
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(respBody, &br); err != nil {
-		return nil, &corruptError{fmt.Errorf("decode batch response: %w", err)}
-	}
-	if len(br.Results) != len(items) {
-		return nil, &corruptError{fmt.Errorf("batch response has %d results for %d items", len(br.Results), len(items))}
-	}
-	return br.Results, nil
+	return pr
 }

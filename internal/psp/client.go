@@ -202,79 +202,120 @@ func (c *Client) sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// doOnce performs a single HTTP attempt and fully reads the body, reading
-// one byte past MaxResponseBytes so oversized responses surface as
-// ErrTooLarge instead of silently truncated bytes.
-func (c *Client) doOnce(ctx context.Context, method, rawURL string, body []byte, header http.Header) ([]byte, error) {
-	c.statAttempts.Add(1)
+// Reply is one fully buffered HTTP answer.
+type Reply struct {
+	Status int
+	Header http.Header
+	Body   []byte
+}
+
+// RetryAfter is the reply's Retry-After hint (see ParseRetryAfter); zero
+// for a nil reply.
+func (r *Reply) RetryAfter() time.Duration {
+	if r == nil {
+		return 0
+	}
+	return ParseRetryAfter(r.Header)
+}
+
+// Attempt is the one HTTP attempt behind every Client call and every
+// cluster gateway shard hop. It sends body (nil for none) under a deadline
+// of timeout (none when zero) and buffers the answer, reading one byte past
+// limit so an oversized answer is ErrTooLarge, never truncated bytes. A
+// transport failure comes back classified: retryable when the attempt's own
+// deadline fired or the connection broke, unwrapped when ctx ended. A body
+// that is an io.Closer is closed on every path, so a streaming producer
+// behind it always stops.
+func Attempt(ctx context.Context, hc *http.Client, timeout time.Duration, limit int64, method, rawURL string, body io.Reader, header http.Header) (*Reply, error) {
+	if rc, ok := body.(io.Closer); ok {
+		defer rc.Close()
+	}
 	attemptCtx := ctx
-	var cancel context.CancelFunc
-	if t := c.requestTimeout(); t > 0 {
-		attemptCtx, cancel = context.WithTimeout(ctx, t)
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		attemptCtx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(attemptCtx, method, rawURL, rd)
+	req, err := http.NewRequestWithContext(attemptCtx, method, rawURL, body)
 	if err != nil {
 		return nil, err
 	}
 	for k, vs := range header {
 		req.Header[k] = vs
 	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, classifyTransport(err, attemptCtx.Err() != nil && ctx.Err() == nil)
+	}
+	defer resp.Body.Close()
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err != nil {
+		return nil, classifyTransport(err, attemptCtx.Err() != nil && ctx.Err() == nil)
+	}
+	if int64(len(respBody)) > limit {
+		return nil, fmt.Errorf("%w: response exceeds %d bytes", ErrTooLarge, limit)
+	}
+	return &Reply{Status: resp.StatusCode, Header: resp.Header, Body: respBody}, nil
+}
+
+// attempt is one try of a client request: Attempt under the client's
+// limits, plus its conditional GET, counters and typed status errors.
+// body builds the request body for this try; nil sends none.
+func (c *Client) attempt(ctx context.Context, method, rawURL string, header http.Header, body func() io.Reader) ([]byte, error) {
+	c.statAttempts.Add(1)
+	var rd io.Reader
+	if body != nil {
+		rd = body()
+	}
 	// Conditional GET: revalidate a cached body instead of re-downloading.
 	var cached CachedResponse
 	var haveCached bool
 	if method == http.MethodGet && c.RespCache != nil {
 		if cached, haveCached = c.RespCache.Get(rawURL); haveCached {
-			req.Header.Set("If-None-Match", cached.ETag)
+			h := http.Header{"If-None-Match": {cached.ETag}}
+			for k, vs := range header {
+				h[k] = vs
+			}
+			header = h
 		}
 	}
-	resp, err := c.http().Do(req)
+	reply, err := Attempt(ctx, c.http(), c.requestTimeout(), c.maxResponseBytes(), method, rawURL, rd, header)
 	if err != nil {
-		timedOut := attemptCtx.Err() != nil && ctx.Err() == nil
-		return nil, classifyTransport(err, timedOut)
+		return nil, err
 	}
-	defer resp.Body.Close()
-	limit := c.maxResponseBytes()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		timedOut := attemptCtx.Err() != nil && ctx.Err() == nil
-		return nil, classifyTransport(err, timedOut)
-	}
-	if int64(len(respBody)) > limit {
-		return nil, fmt.Errorf("%w: response exceeds %d bytes", ErrTooLarge, limit)
-	}
-	if resp.StatusCode == http.StatusNotModified && haveCached {
+	if reply.Status == http.StatusNotModified && haveCached {
 		return cached.Body, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode == http.StatusTooManyRequests {
+	if reply.Status != http.StatusOK {
+		if reply.Status == http.StatusTooManyRequests {
 			c.statOverloaded.Add(1)
+		}
+		path := rawURL
+		if u, err := url.Parse(rawURL); err == nil {
+			path = u.Path
 		}
 		return nil, &StatusError{
 			Method:     method,
-			Path:       req.URL.Path,
-			Code:       resp.StatusCode,
-			Body:       string(bytes.TrimSpace(respBody)),
-			RetryAfter: ParseRetryAfter(resp.Header),
-			Class:      resp.Header.Get(errorClassHeader),
+			Path:       path,
+			Code:       reply.Status,
+			Body:       string(bytes.TrimSpace(reply.Body)),
+			RetryAfter: reply.RetryAfter(),
+			Class:      reply.Header.Get(errorClassHeader),
 		}
 	}
 	if method == http.MethodGet && c.RespCache != nil {
-		if et := resp.Header.Get("ETag"); et != "" {
-			c.RespCache.Add(rawURL, CachedResponse{ETag: et, Body: respBody},
-				int64(len(respBody)+len(et)+len(rawURL)))
+		if et := reply.Header.Get("ETag"); et != "" {
+			c.RespCache.Add(rawURL, CachedResponse{ETag: et, Body: reply.Body},
+				int64(len(reply.Body)+len(et)+len(rawURL)))
 		}
 	}
-	return respBody, nil
+	return reply.Body, nil
 }
 
-// do runs an idempotent request with retries. body may be nil for GETs; it
-// is replayed from scratch on every attempt.
-func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, header http.Header) ([]byte, error) {
+// retry is the client's one retry loop: it runs attempts until one
+// succeeds, fails terminally, or MaxRetries is spent. body builds a fresh
+// request body for every attempt (nil sends none).
+func (c *Client) retry(ctx context.Context, method, rawURL string, header http.Header, body func() io.Reader) ([]byte, error) {
 	attempts := c.maxRetries() + 1
 	var lastErr error
 	for attempt := 1; attempt <= attempts; attempt++ {
@@ -294,7 +335,7 @@ func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, hea
 				return nil, fmt.Errorf("psp: giving up after %d attempts: %w (then %v)", attempt-1, lastErr, err)
 			}
 		}
-		respBody, err := c.doOnce(ctx, method, rawURL, body, header)
+		respBody, err := c.attempt(ctx, method, rawURL, header, body)
 		if err == nil {
 			return respBody, nil
 		}
@@ -305,6 +346,42 @@ func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, hea
 	}
 	c.statExhausted.Add(1)
 	return nil, fmt.Errorf("psp: giving up after %d attempts: %w", attempts, lastErr)
+}
+
+// do runs an idempotent request with retries. body may be nil for GETs; it
+// is replayed from scratch on every attempt.
+func (c *Client) do(ctx context.Context, method, rawURL string, body []byte, header http.Header) ([]byte, error) {
+	var replay func() io.Reader
+	if body != nil {
+		replay = func() io.Reader { return bytes.NewReader(body) }
+	}
+	return c.retry(ctx, method, rawURL, header, replay)
+}
+
+// call runs one request through do and decodes the answer with dec, the
+// facade's decode[T] pattern: a body dec rejects is ErrCorrupt.
+func call[T any](ctx context.Context, c *Client, method, path string, body []byte, header http.Header, dec func([]byte) (T, error)) (T, error) {
+	raw, err := c.do(ctx, method, c.BaseURL+path, body, header)
+	if err == nil {
+		var v T
+		if v, err = dec(raw); err == nil {
+			return v, nil
+		}
+		err = &corruptError{err}
+	}
+	var zero T
+	return zero, err
+}
+
+func decodeJSON[T any](b []byte) (*T, error) {
+	v := new(T)
+	return v, json.Unmarshal(b, v)
+}
+
+func decodeJPEG(b []byte) (*jpegc.Image, error) { return jpegc.Decode(bytes.NewReader(b)) }
+
+func decodePixels(b []byte) (*imgplane.Image, error) {
+	return imgplane.DecodeBinary(bytes.NewReader(b))
 }
 
 // newIdempotencyKey generates the client-side key that makes Upload safe to
@@ -319,19 +396,13 @@ func newIdempotencyKey() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Upload stores a perturbed image and its public data, returning the image
-// ID. The request carries a fresh idempotency key, so transient failures
-// are retried without risking duplicate stored images.
-func (c *Client) Upload(ctx context.Context, img *jpegc.Image, pd *core.PublicData, opts jpegc.EncodeOptions) (string, error) {
-	var imgBuf bytes.Buffer
-	if err := img.Encode(&imgBuf, opts); err != nil {
-		return "", fmt.Errorf("psp: encode image: %w", err)
-	}
-	params, err := pd.Encode()
-	if err != nil {
-		return "", fmt.Errorf("psp: encode params: %w", err)
-	}
-	body, err := json.Marshal(UploadRequest{Image: imgBuf.Bytes(), Params: params})
+// Upload stores a perturbed image (encoded JPEG bytes) and its opaque
+// public-parameter document, the pair puppies.Protected carries and
+// BatchUpload takes, and returns the image ID. The request carries a fresh
+// idempotency key, so transient failures are retried without risking
+// duplicate stored images.
+func (c *Client) Upload(ctx context.Context, image []byte, params json.RawMessage) (string, error) {
+	body, err := json.Marshal(UploadRequest{Image: image, Params: params})
 	if err != nil {
 		return "", err
 	}
@@ -339,13 +410,9 @@ func (c *Client) Upload(ctx context.Context, img *jpegc.Image, pd *core.PublicDa
 		"Content-Type":    {"application/json"},
 		idempotencyHeader: {newIdempotencyKey()},
 	}
-	respBody, err := c.do(ctx, http.MethodPost, c.BaseURL+"/v1/images", body, header)
+	resp, err := call(ctx, c, http.MethodPost, "/v1/images", body, header, decodeJSON[UploadResponse])
 	if err != nil {
 		return "", err
-	}
-	var resp UploadResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		return "", &corruptError{fmt.Errorf("decode upload response: %w", err)}
 	}
 	if resp.ID == "" {
 		return "", &corruptError{errors.New("server returned empty id")}
@@ -356,41 +423,21 @@ func (c *Client) Upload(ctx context.Context, img *jpegc.Image, pd *core.PublicDa
 // ListImages returns every stored image ID (sorted), the recovery-audit
 // view of the PSP: after a server restart, each listed ID is fetchable.
 func (c *Client) ListImages(ctx context.Context) ([]string, error) {
-	body, err := c.do(ctx, http.MethodGet, c.BaseURL+"/v1/images", nil, nil)
+	resp, err := call(ctx, c, http.MethodGet, "/v1/images", nil, nil, decodeJSON[ListResponse])
 	if err != nil {
 		return nil, err
-	}
-	var resp ListResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, &corruptError{fmt.Errorf("decode list response: %w", err)}
 	}
 	return resp.IDs, nil
 }
 
 // FetchImage downloads the stored (untransformed) perturbed image.
 func (c *Client) FetchImage(ctx context.Context, id string) (*jpegc.Image, error) {
-	body, err := c.do(ctx, http.MethodGet, c.BaseURL+"/v1/images/"+url.PathEscape(id), nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	img, err := jpegc.Decode(bytes.NewReader(body))
-	if err != nil {
-		return nil, &corruptError{err}
-	}
-	return img, nil
+	return call(ctx, c, http.MethodGet, "/v1/images/"+url.PathEscape(id), nil, nil, decodeJPEG)
 }
 
 // FetchParams downloads and validates the image's public data.
 func (c *Client) FetchParams(ctx context.Context, id string) (*core.PublicData, error) {
-	body, err := c.do(ctx, http.MethodGet, c.BaseURL+"/v1/images/"+url.PathEscape(id)+"/params", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	pd, err := core.DecodePublicData(body)
-	if err != nil {
-		return nil, &corruptError{err}
-	}
-	return pd, nil
+	return call(ctx, c, http.MethodGet, "/v1/images/"+url.PathEscape(id)+"/params", nil, nil, core.DecodePublicData)
 }
 
 func specQuery(spec transform.Spec) (string, error) {
@@ -410,16 +457,7 @@ func (c *Client) FetchTransformed(ctx context.Context, id string, spec transform
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.do(ctx, http.MethodGet,
-		c.BaseURL+"/v1/images/"+url.PathEscape(id)+"/transformed?"+q, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	img, err := jpegc.Decode(bytes.NewReader(body))
-	if err != nil {
-		return nil, &corruptError{err}
-	}
-	return img, nil
+	return call(ctx, c, http.MethodGet, "/v1/images/"+url.PathEscape(id)+"/transformed?"+q, nil, nil, decodeJPEG)
 }
 
 // FetchTransformedPixels asks the PSP to apply the spec and return lossless
@@ -429,29 +467,12 @@ func (c *Client) FetchTransformedPixels(ctx context.Context, id string, spec tra
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.do(ctx, http.MethodGet,
-		c.BaseURL+"/v1/images/"+url.PathEscape(id)+"/pixels?"+q, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	img, err := imgplane.DecodeBinary(bytes.NewReader(body))
-	if err != nil {
-		return nil, &corruptError{err}
-	}
-	return img, nil
+	return call(ctx, c, http.MethodGet, "/v1/images/"+url.PathEscape(id)+"/pixels?"+q, nil, nil, decodePixels)
 }
 
 // Health probes GET /v1/healthz and returns the server's self-report.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	body, err := c.do(ctx, http.MethodGet, c.BaseURL+"/v1/healthz", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	var h HealthResponse
-	if err := json.Unmarshal(body, &h); err != nil {
-		return nil, &corruptError{err}
-	}
-	return &h, nil
+	return call(ctx, c, http.MethodGet, "/v1/healthz", nil, nil, decodeJSON[HealthResponse])
 }
 
 // TransformedImage is the result of FetchTransformedGraceful: exactly one
@@ -494,12 +515,7 @@ func (c *Client) FetchTransformedGraceful(ctx context.Context, id string, spec t
 // SearchByID runs k-NN search for a stored image: GET /v1/search?id=X&k=K.
 // The stored image itself is normally rank 1 at distance 0.
 func (c *Client) SearchByID(ctx context.Context, id string, k int) (*SearchResponse, error) {
-	u := c.BaseURL + "/v1/search?id=" + url.QueryEscape(id) + "&k=" + strconv.Itoa(k)
-	body, err := c.do(ctx, http.MethodGet, u, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSearchResponse(body)
+	return call(ctx, c, http.MethodGet, "/v1/search?id="+url.QueryEscape(id)+"&k="+strconv.Itoa(k), nil, nil, decodeJSON[SearchResponse])
 }
 
 // Search runs k-NN search by image bytes: POST /v1/search with an
@@ -510,19 +526,6 @@ func (c *Client) Search(ctx context.Context, image []byte, params json.RawMessag
 	if err != nil {
 		return nil, err
 	}
-	u := c.BaseURL + "/v1/search?k=" + strconv.Itoa(k)
-	header := http.Header{"Content-Type": {"application/json"}}
-	respBody, err := c.do(ctx, http.MethodPost, u, body, header)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSearchResponse(respBody)
-}
-
-func decodeSearchResponse(body []byte) (*SearchResponse, error) {
-	var resp SearchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return nil, &corruptError{fmt.Errorf("decode search response: %w", err)}
-	}
-	return &resp, nil
+	return call(ctx, c, http.MethodPost, "/v1/search?k="+strconv.Itoa(k), body,
+		http.Header{"Content-Type": {"application/json"}}, decodeJSON[SearchResponse])
 }

@@ -47,7 +47,7 @@ func TestConcurrentClients(t *testing.T) {
 					errs <- err
 					continue
 				}
-				id, err := client.Upload(context.Background(), img, pd, jpegc.EncodeOptions{})
+				id, err := uploadImage(context.Background(), client, img, pd, jpegc.EncodeOptions{})
 				if err != nil {
 					errs <- fmt.Errorf("worker %d upload: %w", w, err)
 					continue

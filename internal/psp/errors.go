@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -186,15 +187,21 @@ func classifyTransport(err error, attemptTimedOut bool) error {
 }
 
 // ParseRetryAfter reads a Retry-After header as delta seconds (fractional
-// accepted) or an HTTP date. Returns zero if absent or unparseable. The
-// cluster gateway uses it to pass shard hints through to clients.
+// accepted) or an HTTP date. Returns zero if absent or unparseable, and for
+// a delta that is not finite or does not fit a time.Duration. The cluster
+// gateway uses it to pass shard hints through to clients.
 func ParseRetryAfter(h http.Header) time.Duration {
 	raw := strings.TrimSpace(h.Get("Retry-After"))
 	if raw == "" {
 		return 0
 	}
-	if secs, err := strconv.ParseFloat(raw, 64); err == nil && secs >= 0 {
-		return time.Duration(secs * float64(time.Second))
+	if secs, err := strconv.ParseFloat(raw, 64); err == nil {
+		// The comparisons are false for NaN, and float64(math.MaxInt64)
+		// is 2^63, so every accepted product converts without overflow.
+		if ns := secs * float64(time.Second); ns >= 0 && ns < float64(math.MaxInt64) {
+			return time.Duration(ns)
+		}
+		return 0
 	}
 	if t, err := http.ParseTime(raw); err == nil {
 		if d := time.Until(t); d > 0 {

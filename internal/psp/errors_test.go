@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"testing"
+	"time"
 )
 
 // TestStatusOutcomeTable pins the status-plus-class mapping the cluster
@@ -58,4 +59,46 @@ func TestStatusErrorIsAgreesWithOutcome(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestParseRetryAfterRange: a delta too large for a time.Duration, or not
+// finite, reads as absent instead of overflowing into a negative wait.
+func TestParseRetryAfterRange(t *testing.T) {
+	cases := []struct {
+		raw  string
+		want time.Duration
+	}{
+		{"", 0},
+		{"0", 0},
+		{"0.25", 250 * time.Millisecond},
+		{"3", 3 * time.Second},
+		{"-1", 0},
+		{"9e9", 2500000 * time.Hour},
+		{"1e10", 0},
+		{"1e300", 0},
+		{"1e400", 0},
+		{"Inf", 0},
+		{"+Inf", 0},
+		{"-Inf", 0},
+		{"NaN", 0},
+		{"soon", 0},
+		{"Mon, 02 Jan 2006 15:04:05 GMT", 0},
+	}
+	for _, c := range cases {
+		if got := ParseRetryAfter(http.Header{"Retry-After": {c.raw}}); got != c.want {
+			t.Errorf("ParseRetryAfter(%q) = %v, want %v", c.raw, got, c.want)
+		}
+	}
+}
+
+// FuzzParseRetryAfter: no header value panics or yields a negative wait.
+func FuzzParseRetryAfter(f *testing.F) {
+	for _, s := range []string{"", "0.25", "120", "-1", "9e9", "1e10", "Inf", "NaN", "0x1p70", "Mon, 02 Jan 2006 15:04:05 GMT"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		if d := ParseRetryAfter(http.Header{"Retry-After": {raw}}); d < 0 {
+			t.Fatalf("ParseRetryAfter(%q) = %v, want >= 0", raw, d)
+		}
+	})
 }

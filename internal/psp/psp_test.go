@@ -17,6 +17,20 @@ import (
 	"puppies/internal/transform"
 )
 
+// uploadImage encodes an image and its public data into Upload's (image
+// bytes, params document) pair and uploads them.
+func uploadImage(ctx context.Context, client *Client, img *jpegc.Image, pd *core.PublicData, opts jpegc.EncodeOptions) (string, error) {
+	var buf bytes.Buffer
+	if err := img.Encode(&buf, opts); err != nil {
+		return "", err
+	}
+	params, err := pd.Encode()
+	if err != nil {
+		return "", err
+	}
+	return client.Upload(ctx, buf.Bytes(), params)
+}
+
 func testPlanar(w, h int) *imgplane.Image {
 	img, _ := imgplane.New(w, h, 3)
 	for y := 0; y < h; y++ {
@@ -60,7 +74,7 @@ func fixture(t *testing.T) (*Client, *jpegc.Image, *jpegc.Image, *core.PublicDat
 
 func TestUploadDownloadRoundTrip(t *testing.T) {
 	client, _, perturbed, pd, _ := fixture(t)
-	id, err := client.Upload(context.Background(), perturbed, pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
+	id, err := uploadImage(context.Background(), client, perturbed, pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +100,7 @@ func TestUploadDownloadRoundTrip(t *testing.T) {
 
 func TestEndToEndSharingFlow(t *testing.T) {
 	client, base, perturbed, pd, pair := fixture(t)
-	id, err := client.Upload(context.Background(), perturbed, pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
+	id, err := uploadImage(context.Background(), client, perturbed, pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +132,7 @@ func TestEndToEndSharingFlow(t *testing.T) {
 
 func TestTransformedPixelsRecovery(t *testing.T) {
 	client, base, perturbed, pd, pair := fixture(t)
-	id, err := client.Upload(context.Background(), perturbed, pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
+	id, err := uploadImage(context.Background(), client, perturbed, pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +166,7 @@ func TestTransformedPixelsRecovery(t *testing.T) {
 
 func TestTransformedJPEGEndpoint(t *testing.T) {
 	client, _, perturbed, pd, _ := fixture(t)
-	id, err := client.Upload(context.Background(), perturbed, pd, jpegc.EncodeOptions{})
+	id, err := uploadImage(context.Background(), client, perturbed, pd, jpegc.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +217,7 @@ func TestServerErrors(t *testing.T) {
 
 func TestBadTransformSpecRejected(t *testing.T) {
 	client, _, perturbed, pd, _ := fixture(t)
-	id, err := client.Upload(context.Background(), perturbed, pd, jpegc.EncodeOptions{})
+	id, err := uploadImage(context.Background(), client, perturbed, pd, jpegc.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

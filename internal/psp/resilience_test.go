@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,7 +76,7 @@ func TestUploadSurvives503BurstWithoutDuplicates(t *testing.T) {
 	)
 	client, psp, _, perturbed, pd, _ := faultedFixture(t, inj)
 
-	id, err := client.Upload(context.Background(), perturbed, pd, jpegc.EncodeOptions{})
+	id, err := uploadImage(context.Background(), client, perturbed, pd, jpegc.EncodeOptions{})
 	if err != nil {
 		t.Fatalf("upload under fault injection: %v", err)
 	}
@@ -104,7 +106,7 @@ func TestCorruptTransformedFallsBackToPixels(t *testing.T) {
 	client, _, base, perturbed, pd, pair := faultedFixture(t, inj)
 	ctx := context.Background()
 
-	id, err := client.Upload(ctx, perturbed, pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
+	id, err := uploadImage(ctx, client, perturbed, pd, jpegc.EncodeOptions{Tables: jpegc.TablesOptimized})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +149,7 @@ func TestCorruptTransformedFallsBackToPixels(t *testing.T) {
 func TestGracefulFetchUsesIntegrityCheck(t *testing.T) {
 	client, _, _, perturbed, pd, _ := faultedFixture(t, faults.New(1))
 	ctx := context.Background()
-	id, err := client.Upload(ctx, perturbed, pd, jpegc.EncodeOptions{})
+	id, err := uploadImage(ctx, client, perturbed, pd, jpegc.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestDroppedConnectionIsRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := client.Upload(context.Background(), base, &core.PublicData{W: 32, H: 32, Channels: 3}, jpegc.EncodeOptions{})
+	id, err := uploadImage(context.Background(), client, base, &core.PublicData{W: 32, H: 32, Channels: 3}, jpegc.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +348,7 @@ func TestHealthEndpoint(t *testing.T) {
 	if h.Status != "ok" || h.Images != 0 {
 		t.Errorf("empty server health = %+v", h)
 	}
-	if _, err := client.Upload(ctx, perturbed, pd, jpegc.EncodeOptions{}); err != nil {
+	if _, err := uploadImage(ctx, client, perturbed, pd, jpegc.EncodeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	h, err = client.Health(ctx)
@@ -373,7 +375,7 @@ func TestServerErrorPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := fastClient(srv.URL, nil)
-	id, err := client.Upload(context.Background(), base, &core.PublicData{W: 32, H: 32, Channels: 3}, jpegc.EncodeOptions{})
+	id, err := uploadImage(context.Background(), client, base, &core.PublicData{W: 32, H: 32, Channels: 3}, jpegc.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,4 +470,162 @@ func TestIdempotentUploadDirect(t *testing.T) {
 
 func toBase64(b []byte) string {
 	return base64.StdEncoding.EncodeToString(b)
+}
+
+// requestShape is one of the client's two request shapes: a body-less GET,
+// and UploadBatch's multipart body streamed through a pipe. Both run the
+// one retry loop and attempt, so every resilience case must hold for each.
+type requestShape struct {
+	name string
+	call func(ctx context.Context, c *Client) error
+	// ok is a 200 body the call decodes successfully.
+	ok []byte
+}
+
+func requestShapes(t *testing.T) []requestShape {
+	return []requestShape{
+		{
+			name: "get",
+			call: func(ctx context.Context, c *Client) error {
+				_, err := c.FetchImage(ctx, "abc")
+				return err
+			},
+			ok: testJPEGBytes(t, 16, 16),
+		},
+		{
+			name: "batch",
+			call: func(ctx context.Context, c *Client) error {
+				_, err := c.UploadBatch(ctx, []BatchUpload{{Image: []byte("jpeg bytes"), Params: json.RawMessage(`null`)}})
+				return err
+			},
+			ok: []byte(`{"results":[{"id":"abc"}]}`),
+		},
+	}
+}
+
+// shapeServer records each request body's length, read in full before
+// handle answers; bodies snapshots the lengths so far.
+func shapeServer(t *testing.T, handle func(call int, w http.ResponseWriter, r *http.Request)) (srv *httptest.Server, bodies func() []int) {
+	t.Helper()
+	var mu sync.Mutex
+	var lens []int
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		lens = append(lens, len(b))
+		n := len(lens)
+		mu.Unlock()
+		handle(n, w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), lens...)
+	}
+}
+
+// TestResilienceBothRequestShapes runs the client's resilience cases over
+// a GET and UploadBatch: exact Retry-After, MaxRetries exhaustion, a
+// retryable per-attempt timeout, a typed oversized answer, and caller
+// cancellation stopping the retries.
+func TestResilienceBothRequestShapes(t *testing.T) {
+	for _, shape := range requestShapes(t) {
+		t.Run(shape.name+"/retry-after", func(t *testing.T) {
+			srv, bodies := shapeServer(t, func(call int, w http.ResponseWriter, r *http.Request) {
+				if call == 1 {
+					w.Header().Set("Retry-After", "0.25")
+					http.Error(w, "busy", http.StatusServiceUnavailable)
+					return
+				}
+				_, _ = w.Write(shape.ok)
+			})
+			var waits []time.Duration
+			client := fastClient(srv.URL, &waits)
+			if err := shape.call(context.Background(), client); err != nil {
+				t.Fatal(err)
+			}
+			if len(waits) != 1 || waits[0] != 250*time.Millisecond {
+				t.Errorf("backoff waits = %v, want exactly the served Retry-After of 250ms", waits)
+			}
+			// The retried attempt sent the whole body again.
+			if b := bodies(); len(b) != 2 || b[0] != b[1] {
+				t.Errorf("request body lengths per attempt = %v, want two equal", b)
+			}
+			if st := client.Stats(); st.Attempts != 2 || st.Retries != 1 || st.RetryAfterHonored != 1 {
+				t.Errorf("stats = %+v, want 2 attempts, 1 retry, 1 Retry-After honored", st)
+			}
+		})
+		t.Run(shape.name+"/exhausted", func(t *testing.T) {
+			srv, bodies := shapeServer(t, func(_ int, w http.ResponseWriter, _ *http.Request) {
+				http.Error(w, "always down", http.StatusServiceUnavailable)
+			})
+			var waits []time.Duration
+			client := fastClient(srv.URL, &waits)
+			client.MaxRetries = 2
+			err := shape.call(context.Background(), client)
+			if !errors.Is(err, ErrRetryable) {
+				t.Errorf("exhausted retries not classified retryable: %v", err)
+			}
+			if len(waits) != 2 || len(bodies()) != 3 {
+				t.Errorf("slept %d times over %d attempts, want 2 over 3", len(waits), len(bodies()))
+			}
+			if st := client.Stats(); st.Exhausted != 1 {
+				t.Errorf("stats = %+v, want 1 exhausted", st)
+			}
+		})
+		t.Run(shape.name+"/attempt-timeout", func(t *testing.T) {
+			srv, bodies := shapeServer(t, func(_ int, _ http.ResponseWriter, r *http.Request) {
+				<-r.Context().Done()
+			})
+			client := fastClient(srv.URL, nil)
+			client.RequestTimeout = 30 * time.Millisecond
+			client.MaxRetries = 1
+			start := time.Now()
+			err := shape.call(context.Background(), client)
+			if !errors.Is(err, ErrRetryable) {
+				t.Errorf("attempt timeout not classified retryable: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("timed-out call took %s", elapsed)
+			}
+			if st := client.Stats(); st.Attempts != 2 {
+				t.Errorf("%d attempts (server saw %d), want 2", st.Attempts, len(bodies()))
+			}
+		})
+		t.Run(shape.name+"/too-large", func(t *testing.T) {
+			srv, bodies := shapeServer(t, func(_ int, w http.ResponseWriter, _ *http.Request) {
+				_, _ = w.Write(bytes.Repeat([]byte("x"), 4096))
+			})
+			client := fastClient(srv.URL, nil)
+			client.MaxResponseBytes = 1024
+			err := shape.call(context.Background(), client)
+			if !errors.Is(err, ErrTooLarge) || errors.Is(err, ErrRetryable) {
+				t.Errorf("oversized response error = %v, want ErrTooLarge and not ErrRetryable", err)
+			}
+			if len(bodies()) != 1 {
+				t.Errorf("oversized answer requested %d times, want 1", len(bodies()))
+			}
+		})
+		t.Run(shape.name+"/caller-cancel", func(t *testing.T) {
+			srv, bodies := shapeServer(t, func(_ int, w http.ResponseWriter, _ *http.Request) {
+				http.Error(w, "down", http.StatusServiceUnavailable)
+			})
+			// Real sleeps: the caller's deadline ends the first backoff
+			// wait (5–10 s) long before a second attempt.
+			client := &Client{BaseURL: srv.URL, BackoffBase: 10 * time.Second}
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			if err := shape.call(ctx, client); err == nil {
+				t.Fatal("cancelled call succeeded")
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("cancelled call blocked for %s", elapsed)
+			}
+			if len(bodies()) != 1 {
+				t.Errorf("server saw %d attempts after the caller cancelled, want 1", len(bodies()))
+			}
+		})
+	}
 }

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"puppies/internal/blobstore"
 	"puppies/internal/jpegc"
 	"puppies/internal/searchidx"
 	"puppies/internal/spine"
@@ -61,9 +62,10 @@ type Server struct {
 
 	// DisableScaledDecode forces every /transformed compute down the
 	// full-resolution path, bypassing the scaled-decode planner
-	// (transform.ApplyPlanned). Serving stays correct either way — the knob
-	// exists for benchmarking the pre-planner baseline and as an
-	// operational escape hatch. Set before Handler is used.
+	// (transform.ApplyPlanned). Serving stays correct either way. No daemon
+	// flag sets it: it pins the full-path baseline that the thumbnail
+	// benchmarks and TestThumbnailSpeedup compare the planner against. Set
+	// before Handler is used.
 	DisableScaledDecode bool
 
 	searchOnce    sync.Once
@@ -306,25 +308,6 @@ func writeUploadResult(w http.ResponseWriter, res BatchResult) {
 	spine.WriteJSON(w, http.StatusOK, UploadResponse{ID: res.ID, DuplicateOf: res.DuplicateOf, Distance: res.Distance})
 }
 
-// validImageID bounds caller-chosen IDs for PUT /v1/images/{id} to names
-// every Store implementation accepts (blobstore uses IDs as file names).
-func validImageID(id string) error {
-	if id == "" || len(id) > 100 {
-		return fmt.Errorf("id length %d out of range [1,100]", len(id))
-	}
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-		default:
-			return fmt.Errorf("id contains unsafe character %q", r)
-		}
-	}
-	if strings.HasPrefix(id, ".") {
-		return errors.New("id may not start with a dot")
-	}
-	return nil
-}
-
 // paramsEqual compares two public-parameter documents, treating absent,
 // empty, and JSON null as the same thing (the /params route serves "null"
 // for an absent document, so replication round-trips through it).
@@ -348,7 +331,7 @@ func paramsEqual(a, b json.RawMessage) bool {
 // like POST's, and the answer carries POST's near-duplicate hint.
 func (s *Server) handlePutImage(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if err := validImageID(id); err != nil {
+	if err := blobstore.ValidID(id); err != nil {
 		httpError(w, http.StatusBadRequest, "bad image id: %v", err)
 		return
 	}

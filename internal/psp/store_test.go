@@ -138,7 +138,7 @@ func TestParamsVersionRoundTrip(t *testing.T) {
 	client, _, perturbed, pd, _ := fixture(t)
 	ctx := context.Background()
 
-	id, err := client.Upload(ctx, perturbed, pd, jpegc.EncodeOptions{})
+	id, err := uploadImage(ctx, client, perturbed, pd, jpegc.EncodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
